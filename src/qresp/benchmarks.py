@@ -2,29 +2,24 @@
 linear memory capacity, polynomial information processing capacity with
 shuffle-surrogate thresholding, and trajectory rank.
 
-Capacities follow the squared-correlation form
-    C = cov(v, x)^T pinv(cov(x, x)) cov(v, x) / Var(v)
-computed on mean-centered post-washout features; a delay-line reservoir of
-dimension d then scores exactly 1 for each delay it stores.
+Capacities follow Dambre et al. 2012 (Sci. Rep. 2, 514),
+    C(v) = ||Q^T v_c||^2 / ||v_c||^2,
+with v_c the mean-centered target and Q the left singular vectors of the
+mean-centered post-washout features with s_i > 1e-5 s_0 (a 1e-10 eigenvalue
+cut on their covariance).  This equals the squared-correlation form
+cov(v, x)^T pinv(cov(x, x)) cov(v, x) / Var(v); a delay-line reservoir of
+dimension d scores exactly 1 for each delay it stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmat
-from .reservoir import ReadoutTrajectory
-
 NARMA_DIVERGENCE_LIMIT = 1e3
 MAX_LINEAR_DELAY_THRESHOLD = 1e-4
-
-
-def _feature_matrix(features) -> np.ndarray:
-    if isinstance(features, ReadoutTrajectory):
-        return features.values
-    return np.asarray(features, dtype=float)
+CAPACITY_REL_CUT = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,7 @@ def train_linear_readout(features, target, split: SplitSpec, ridge: float = 0.0)
     degenerate designs, flagged on the result).  The constant all-identity
     readout column plays the role of the intercept.
     """
-    x = _feature_matrix(features)
+    x = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
     if len(x) != len(y):
         raise ValueError(f"feature rows {len(x)} do not match target length {len(y)}")
@@ -140,39 +135,31 @@ def rnmse(target, prediction) -> float:
 # ---------------------------------------------------------------------------
 # capacity machinery
 
-class _CapacityContext:
-    """Centered post-washout features with a shared covariance pseudo-inverse."""
+def _svd_basis(x: np.ndarray, rel_cut: float) -> np.ndarray:
+    """Left singular vectors of x whose singular value exceeds rel_cut times the largest."""
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return u[:, s > rel_cut * s[0]]
 
-    def __init__(self, features, washout: int, rel_tol: float = 1e-10):
-        x = _feature_matrix(features)
-        if washout < 0 or washout >= len(x):
-            raise ValueError(f"washout {washout} leaves no data in {len(x)} rows")
-        self.washout = washout
-        self.x = x[washout:]
-        self.n = len(self.x)
-        self.xc = self.x - self.x.mean(axis=0)
-        cov = self.xc.T @ self.xc / self.n
-        self.pinv_cov = qmat.pseudo_inverse(cov, rel_tol=rel_tol)
 
-    def capacity(self, target: np.ndarray) -> float:
-        vc = target - target.mean()
-        var = np.mean(vc**2)
-        if var == 0.0:
-            return 0.0
-        a = self.xc.T @ vc / self.n
-        value = float(a @ self.pinv_cov @ a / var)
-        return min(max(value, 0.0), 1.0 + 1e-6)
+def _capacity_basis(features, washout: int) -> np.ndarray:
+    """Orthonormal basis Q of the mean-centered post-washout features."""
+    x = np.asarray(features, dtype=float)
+    if washout < 0 or washout >= len(x):
+        raise ValueError(f"washout {washout} leaves no data in {len(x)} rows")
+    x = x[washout:]
+    return _svd_basis(x - x.mean(axis=0), CAPACITY_REL_CUT)
 
-    def capacities_against_permutations(self, target: np.ndarray, perms) -> np.ndarray:
-        """Capacities of the target against row-shuffled features (one per permutation)."""
-        vc = target - target.mean()
-        var = np.mean(vc**2)
-        if var == 0.0 or len(perms) == 0:
-            return np.zeros(len(perms))
-        shuffled = np.stack([vc[p] for p in perms], axis=1)  # (n, S)
-        a = self.xc.T @ shuffled / self.n  # (d, S)
-        vals = np.einsum("ds,ds->s", a, self.pinv_cov @ a) / var
-        return np.clip(vals, 0.0, None)
+
+def _capacity(q: np.ndarray, target: np.ndarray, perms=None):
+    """||Q^T v_c||^2 / ||v_c||^2 for the centered target v_c, or, given an
+    (S, n) array of permutations, for each row order v_c[perms[s]] (the
+    shuffle surrogates).  A constant target has capacity 0."""
+    vc = target - target.mean()
+    norm2 = vc @ vc
+    rows = vc if perms is None else vc[perms]
+    if norm2 == 0.0:
+        return np.zeros(rows.shape[:-1])
+    return np.sum((rows @ q) ** 2, axis=-1) / norm2
 
 
 def memory_function(inputs, features, delay: int, washout: int) -> float:
@@ -181,16 +168,9 @@ def memory_function(inputs, features, delay: int, washout: int) -> float:
         raise ValueError("delay must be nonnegative")
     if washout < delay:
         raise ValueError("washout must cover the delay")
-    ctx = _CapacityContext(features, washout)
-    return _delayed_capacity(ctx, np.asarray(inputs, dtype=float), delay)
-
-
-def _delayed_input(inputs: np.ndarray, delay: int, washout: int, n: int) -> np.ndarray:
-    return inputs[washout - delay : washout - delay + n]
-
-
-def _delayed_capacity(ctx: _CapacityContext, inputs: np.ndarray, delay: int) -> float:
-    return ctx.capacity(_delayed_input(inputs, delay, ctx.washout, ctx.n))
+    q = _capacity_basis(features, washout)
+    inputs = np.asarray(inputs, dtype=float)
+    return float(_capacity(q, inputs[washout - delay : washout - delay + len(q)]))
 
 
 @dataclass
@@ -208,8 +188,9 @@ def mc_report(inputs, features, max_delay: int, washout: int) -> McResult:
     if max_delay < 1:
         raise ValueError("max_delay must be at least 1")
     inputs = np.asarray(inputs, dtype=float)
-    ctx = _CapacityContext(features, washout)
-    caps = np.array([_delayed_capacity(ctx, inputs, k) for k in range(max_delay + 1)])
+    q = _capacity_basis(features, washout)
+    n = len(q)
+    caps = np.array([_capacity(q, inputs[washout - k : washout - k + n]) for k in range(max_delay + 1)])
     above = np.nonzero(caps > MAX_LINEAR_DELAY_THRESHOLD)[0]
     return McResult(
         memory_functions=caps,
@@ -303,15 +284,17 @@ class IpcResult:
 def ipc_report(inputs, features, cfg: IpcConfig, washout: int, rng: np.random.Generator) -> IpcResult:
     """Capacity per degree/delay product, thresholded by a random shuffle surrogate.
 
-    Each component is compared against the maximum capacity obtained when the
-    target is evaluated against time-shuffled features (surrogate_count
-    shuffles, shared across components for determinism); components at or
-    below the threshold are zeroed.  surrogate_count = 0 disables
+    Each component is compared against the maximum capacity of its
+    time-shuffled target (surrogate_count permutations, drawn once and
+    shared across components for determinism); components at or below the
+    threshold are zeroed.  surrogate_count = 0 disables
     thresholding.
     """
     inputs = np.asarray(inputs, dtype=float)
-    ctx = _CapacityContext(features, washout)
-    perms = [rng.permutation(ctx.n) for _ in range(cfg.surrogate_count)]
+    q = _capacity_basis(features, washout)
+    perms = np.empty((cfg.surrogate_count, len(q)), dtype=np.intp)
+    for row in perms:
+        row[:] = rng.permutation(len(q))
 
     components = []
     degree_totals: dict[int, float] = {}
@@ -322,12 +305,10 @@ def ipc_report(inputs, features, cfg: IpcConfig, washout: int, rng: np.random.Ge
                 continue
             target_full = ipc_targets(inputs, terms, cfg.input_low, cfg.input_high)
             target = target_full[washout:]
-            value = ctx.capacity(target)
-            if perms:
-                threshold = ctx.capacities_against_permutations(target, perms).max()
-                if value <= threshold:
-                    value = 0.0
-                    zeroed += 1
+            value = float(_capacity(q, target))
+            if len(perms) and value <= _capacity(q, target, perms).max():
+                value = 0.0
+                zeroed += 1
             components.append((terms, value))
             degree_totals[degree] = degree_totals.get(degree, 0.0) + value
     return IpcResult(
@@ -360,14 +341,10 @@ def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> 
     rank is 12. For the exact rank, pass `max(rows, cols) * eps`, the
     `numpy.linalg.matrix_rank` tolerance.
     """
-    x = _feature_matrix(features)[washout:]
+    x = np.asarray(features, dtype=float)[washout:]
     if len(x) == 0:
         raise ValueError("no rows after washout")
-
-    def count(m: np.ndarray) -> int:
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[0] == 0.0:
-            return 0
-        return int(np.sum(s > rel_threshold * s[0]))
-
-    return RankResult(raw=count(x), centered=count(x - x.mean(axis=0)))
+    return RankResult(
+        raw=_svd_basis(x, rel_threshold).shape[1],
+        centered=_svd_basis(x - x.mean(axis=0), rel_threshold).shape[1],
+    )

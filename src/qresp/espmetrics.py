@@ -1,4 +1,4 @@
-"""ESP diagnostics: windowed statistics, ESP / non-stationary ESP indicators,
+"""ESP diagnostics: windowed variance, ESP / non-stationary ESP indicators,
 and their subset variants, with ensemble averaging over input sequences and
 Haar-random initial-state pairs.
 
@@ -15,72 +15,81 @@ from itertools import combinations
 import numpy as np
 
 from . import qmat
-from .reservoir import ReadoutTrajectory, run_reservoir
+from .reservoir import run_reservoir
 
 VARIANCE_UNDERFLOW = 1e-30
 
 
-def _values(traj) -> np.ndarray:
-    if isinstance(traj, ReadoutTrajectory):
-        return traj.values
-    return np.asarray(traj, dtype=float)
+def _selected(traj, columns=None) -> np.ndarray:
+    values = np.asarray(traj, dtype=float)
+    return values if columns is None else values[:, columns]
 
 
-@dataclass(frozen=True)
-class WindowStats:
-    window: int
-    mean: np.ndarray
-    variance: np.ndarray
-
-
-def windowed_stats(series, t: int, w: int) -> WindowStats:
-    """Per-component mean and population variance of the w rows ending at index t."""
-    values = _values(series)
+def _check_window(t: int, w: int, length: int) -> None:
     if w < 1:
         raise ValueError("window must be positive")
-    if t < w - 1 or t >= len(values):
-        raise ValueError(f"index {t} lacks a full window of {w} in history of {len(values)}")
-    block = values[t - w + 1 : t + 1]
-    mean = block.mean(axis=0)
-    variance = np.mean((block - mean) ** 2, axis=0)
-    return WindowStats(window=w, mean=mean, variance=variance)
+    if t < w - 1 or t >= length:
+        raise ValueError(f"index {t} lacks a full window of {w} in history of {length}")
+
+
+def _variance_norms(values: np.ndarray, w: int) -> np.ndarray:
+    """Norm of the per-column population variance of each window of w rows.
+
+    Entry i covers rows i..i+w-1, i.e. the window ending at index i+w-1;
+    each window is reduced in two passes (mean, then squared deviations).
+    """
+    blocks = np.lib.stride_tricks.sliding_window_view(values, w, axis=0)
+    mean = blocks.mean(axis=-1, keepdims=True)
+    return np.linalg.norm(np.mean((blocks - mean) ** 2, axis=-1), axis=1)
+
+
+def _esp_trace(a: np.ndarray, b: np.ndarray, s0_dist: float) -> np.ndarray:
+    """Readout distance at every time, normalized by the initial-state distance."""
+    if s0_dist <= 0.0:
+        raise ValueError("initial states must differ (s0_dist > 0)")
+    return np.linalg.norm(a - b, axis=1) / s0_dist
+
+
+def _ns_trace(esp: np.ndarray, var_a: np.ndarray, var_b: np.ndarray) -> np.ndarray:
+    """NS rescaling of an ESP trace (see `ns_esp_indicator`), from index w-1 on.
+
+    `var_a` and `var_b` hold the two trajectories' windowed-variance norms,
+    one per full window.
+    """
+    vmin = np.minimum(var_a, var_b)
+    return np.where(
+        vmin < VARIANCE_UNDERFLOW,
+        np.inf,
+        esp[len(esp) - len(vmin) :] * np.sqrt(vmin[0] / np.maximum(vmin, VARIANCE_UNDERFLOW)),
+    )
 
 
 def variance_norm(series, t: int, w: int, columns=None) -> float:
-    """Euclidean norm of the windowed variance vector, optionally on selected columns."""
-    values = _values(series)
-    if columns is not None:
-        values = values[:, columns]
-    return float(np.linalg.norm(windowed_stats(values, t, w).variance))
+    """Euclidean norm of the windowed variance vector of the w rows ending at
+    index t, optionally on selected columns."""
+    values = _selected(series, columns)
+    _check_window(t, w, len(values))
+    return float(_variance_norms(values[t - w + 1 : t + 1], w)[0])
 
 
 def esp_indicator(traj_a, traj_b, s0_dist: float, t: int, columns=None) -> float:
     """Readout distance at time t, normalized by the initial-state distance."""
-    if s0_dist <= 0.0:
-        raise ValueError("initial states must differ (s0_dist > 0)")
-    a, b = _values(traj_a), _values(traj_b)
-    if columns is not None:
-        a, b = a[:, columns], b[:, columns]
-    return float(np.linalg.norm(a[t] - b[t])) / s0_dist
+    return float(_esp_trace(_selected(traj_a, columns), _selected(traj_b, columns), s0_dist)[t])
 
 
 def ns_esp_indicator(traj_a, traj_b, s0_dist: float, w: int, t: int, columns=None) -> float:
-    """ESP indicator rescaled by the ratio of reference to current windowed variance.
+    """ESP indicator at time t rescaled by sqrt(v_ref / v_t).
 
-    The variance entering numerator and denominator is the smaller of the
-    two trajectories' windowed-variance norms; the reference time is the
-    earliest index with a full window.  A denominator below the underflow
-    threshold yields +inf, the documented sentinel for variance collapse.
+    v is the smaller of the two trajectories' windowed-variance norms and
+    v_ref its value at the earliest full window (index w-1).  A v_t below
+    the underflow threshold yields +inf, the documented sentinel for
+    variance collapse.
     """
-    ref_t = w - 1
-    if t < ref_t:
-        raise ValueError(f"time {t} precedes the earliest full window {ref_t}")
-    var_ref = min(variance_norm(traj_a, ref_t, w, columns), variance_norm(traj_b, ref_t, w, columns))
-    var_now = min(variance_norm(traj_a, t, w, columns), variance_norm(traj_b, t, w, columns))
-    base = esp_indicator(traj_a, traj_b, s0_dist, t, columns)
-    if var_now < VARIANCE_UNDERFLOW:
-        return np.inf
-    return base * np.sqrt(var_ref) / np.sqrt(var_now)
+    a, b = _selected(traj_a, columns), _selected(traj_b, columns)
+    _check_window(t, w, len(a))
+    a, b = a[: t + 1], b[: t + 1]
+    esp = _esp_trace(a, b, s0_dist)
+    return float(_ns_trace(esp, _variance_norms(a, w), _variance_norms(b, w))[-1])
 
 
 @dataclass
@@ -99,30 +108,6 @@ class IndicatorTrace:
     @property
     def final_ns(self) -> float:
         return float(self.ns_values[-1])
-
-
-def _pair_traces(traj_a, traj_b, s0_dist, w, columns):
-    a, b = _values(traj_a), _values(traj_b)
-    if columns is not None:
-        a, b = a[:, columns], b[:, columns]
-    dist = np.linalg.norm(a - b, axis=1)
-    esp = dist / s0_dist
-
-    def var_norms(v):
-        # two-pass sliding variance per column, windows ending at w-1..T-1
-        blocks = np.lib.stride_tricks.sliding_window_view(v, w, axis=0)
-        mean = blocks.mean(axis=-1, keepdims=True)
-        var = np.mean((blocks - mean) ** 2, axis=-1)
-        return np.linalg.norm(var, axis=1)
-
-    vmin = np.minimum(var_norms(a), var_norms(b))
-    ref = vmin[0]
-    ns = np.where(
-        vmin < VARIANCE_UNDERFLOW,
-        np.inf,
-        esp[w - 1 :] * np.sqrt(ref / np.maximum(vmin, VARIANCE_UNDERFLOW)),
-    )
-    return esp, ns
 
 
 def indicator_ensemble(
@@ -151,12 +136,13 @@ def indicator_ensemble(
     ns_sum = np.zeros(seq_len - w + 1)
     count = 0
     for inputs in input_sets:
-        trajectories = [run_reservoir(model, inputs, rho, basis) for rho in states]
+        rows = [_selected(run_reservoir(model, inputs, rho, basis), columns) for rho in states]
+        variances = [_variance_norms(r, w) for r in rows]
         for i, j in combinations(range(n_states), 2):
             s0_dist = qmat.hilbert_schmidt_distance(states[i], states[j])
-            esp, ns = _pair_traces(trajectories[i], trajectories[j], s0_dist, w, columns)
+            esp = _esp_trace(rows[i], rows[j], s0_dist)
             esp_sum += esp
-            ns_sum += ns
+            ns_sum += _ns_trace(esp, variances[i], variances[j])
             count += 1
     return IndicatorTrace(
         times=np.arange(seq_len),

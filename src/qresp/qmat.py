@@ -24,11 +24,6 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two operators."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def n_qubits_of(matrix: np.ndarray) -> int:
     dim = matrix.shape[0]
     n = int(round(np.log2(dim)))
@@ -128,18 +123,6 @@ def cnot_power(p: float) -> np.ndarray:
     # endpoints come out without floating-point phase residue
     phase = (-1.0) ** int(p) if p == int(p) else np.exp(1j * np.pi * p)
     return 0.5 * (eye + U_CX) + 0.5 * phase * (eye - U_CX)
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values in descending order."""
-    return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-
-
-def pseudo_inverse(m: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose inverse; singular values below rel_tol * sigma_max are dropped."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    return np.linalg.pinv(np.asarray(m, dtype=float), rcond=rel_tol)
 
 
 def haar_random_pure_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:

@@ -318,6 +318,10 @@ class ReadoutTrajectory:
     def __len__(self) -> int:
         return self.values.shape[0]
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The readout matrix, so np.asarray accepts a trajectory or a plain array alike."""
+        return np.array(self.values, dtype=dtype, copy=copy)
+
 
 def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarray:
     """Real expectation values tr(P rho) for a stacked (B, d, d) operator array."""
@@ -343,16 +347,6 @@ def run_reservoir(model, inputs, rho0: np.ndarray, basis=None) -> ReadoutTraject
             raise RuntimeError(f"readout out of range at time index {t}")
         values[t] = row
     return ReadoutTrajectory(basis=basis, values=values)
-
-
-def state_from_expectations(basis, expectations) -> np.ndarray:
-    """Reconstruct a 2-qubit state from the full Pauli expectation vector."""
-    ops = qmat.pauli_basis_matrices(basis)
-    dim = ops.shape[1]
-    rho = np.zeros((dim, dim), dtype=complex)
-    for val, op in zip(expectations, ops):
-        rho += val * op
-    return rho / dim
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .reservoir import (
     run_reservoir,
 )
 
-EXPERIMENTS = ("ns_esp_axis_grid", "subset_gamma_p_grid", "classical_reference")
+EXPERIMENTS = ("ns_esp_axis_grid", "subset_gamma_p_grid")
 
 METRICS = (
     "esp",
@@ -267,16 +267,21 @@ def checkpoint_path(out_path: str) -> str:
 
 
 def _load_checkpoint(path: str) -> dict:
-    done = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                done[row["index"]] = (row["values"], row.get("error"))
-    return done
+    """Completed points by index.
+
+    Text after the last newline is a record torn by a crash mid-write: it
+    is cut from the file, so that appending resumes on a line boundary, and
+    its point runs again.  An undecodable complete line raises.
+    """
+    if not os.path.exists(path):
+        return {}
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            fh.truncate(end)
+    rows = [json.loads(line) for line in data[:end].splitlines() if line.strip()]
+    return {row["index"]: (row["values"], row.get("error")) for row in rows}
 
 
 def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
@@ -288,18 +293,17 @@ def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
     pending = [(cfg, i, coords[i]) for i in range(len(coords)) if i not in done]
     results = dict(done)
     if pending:
-        with open(ckpt, "a", encoding="utf-8") as fh:
-            if cfg.workers == 1:
-                finished = map(_point_task, pending)
-            else:
-                pool = ProcessPoolExecutor(max_workers=cfg.workers)
-                finished = pool.map(_point_task, pending)
-            for index, values, error in finished:
-                results[index] = (values, error)
-                fh.write(json.dumps({"index": index, "values": values, "error": error}) + "\n")
-                fh.flush()
-            if cfg.workers > 1:
-                pool.shutdown()
+        pool = None if cfg.workers == 1 else ProcessPoolExecutor(max_workers=cfg.workers)
+        try:
+            with open(ckpt, "a", encoding="utf-8") as fh:
+                finished = map(_point_task, pending) if pool is None else pool.map(_point_task, pending)
+                for index, values, error in finished:
+                    results[index] = (values, error)
+                    fh.write(json.dumps({"index": index, "values": values, "error": error}) + "\n")
+                    fh.flush()
+        finally:
+            if pool is not None:  # joins the workers; after an error, queued points do not run
+                pool.shutdown(cancel_futures=True)
 
     coord_names = ("p", "gamma") if cfg.experiment == "subset_gamma_p_grid" else ("azimuth", "polar")
     ordered = [results[i] for i in range(len(coords))]
@@ -325,7 +329,11 @@ def _fmt(x: float) -> str:
 
 
 def emit_field(result: FieldResult, path: str, fmt: str = "csv") -> None:
-    """Write the field as CSV (one row per grid point) or JSON with metadata."""
+    """Write the field as CSV (one row per grid point) or JSON with metadata.
+
+    JSON stays standard: non-finite values are written as the strings
+    "inf", "-inf" and "nan", the CSV spellings.
+    """
     if not result.values or not result.metrics:
         raise ValueError("refusing to write an empty field")
     if fmt == "csv":
@@ -341,12 +349,12 @@ def emit_field(result: FieldResult, path: str, fmt: str = "csv") -> None:
             {
                 result.coord_names[0]: u,
                 result.coord_names[1]: v,
-                "metrics": values,
+                "metrics": {m: x if np.isfinite(x) else _fmt(x) for m, x in values.items()},
                 "error": error,
             }
             for (u, v), values, error in zip(result.coords, result.values, result.errors)
         ]
-        body = json.dumps({"config": result.config, "points": points}, indent=2) + "\n"
+        body = json.dumps({"config": result.config, "points": points}, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     try:

@@ -207,6 +207,58 @@ def test_ipc_surrogates_suppress_noise():
     assert ipc.threshold_count > 0
 
 
+def covariance_capacity(features, target, washout):
+    """cov(v, x)^T pinv(cov(x, x)) cov(v, x) / Var(v) on the post-washout rows,
+    with pinv dropping covariance eigenvalues below 1e-10 of the largest."""
+    x = features[washout:]
+    xc = x - x.mean(axis=0)
+    vc = target - target.mean()
+    a = xc.T @ vc / len(x)
+    return a @ np.linalg.pinv(xc.T @ xc / len(x), rcond=1e-10) @ a / np.mean(vc**2)
+
+
+def test_capacities_match_covariance_pinv_form():
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-1, 1, 3000)
+    delays = delay_line_features(u, 3)
+    feats = np.column_stack([
+        delays,
+        np.tanh(delays @ rng.standard_normal(3)) ** 2,  # a nonlinear feature
+        np.ones(len(u)),  # constant column
+        delays[:, 1],  # duplicated column
+        1e-7 * rng.standard_normal(len(u)),  # a direction below both cuts
+    ])
+    washout = 40
+    n = len(u) - washout
+    delayed = [u[washout - k : washout - k + n] for k in range(7)]
+    expected = [covariance_capacity(feats, v, washout) for v in delayed]
+    for k in (0, 2, 5):
+        assert abs(bm.memory_function(u, feats, k, washout) - expected[k]) < 1e-12
+    rep = bm.mc_report(u, feats, max_delay=6, washout=washout)
+    assert np.max(np.abs(rep.memory_functions - expected)) < 1e-12
+
+    budget = ((1, 4), (2, 3), (3, 2))
+    for surrogates in (0, 15):
+        ipc = bm.ipc_report(
+            u, feats, bm.IpcConfig(budget=budget, surrogate_count=surrogates), washout,
+            np.random.default_rng(12),
+        )
+        draw = np.random.default_rng(12)
+        perms = [draw.permutation(n) for _ in range(surrogates)]
+        terms = [t for d, m in budget for t in bm.enumerate_degree_terms(d, m)]
+        assert [t for t, _ in ipc.components] == terms
+        zeroed = 0
+        for t, value in ipc.components:
+            v = bm.ipc_targets(u, t)[washout:]
+            c = covariance_capacity(feats, v, washout)
+            threshold = max((covariance_capacity(feats, v[p], washout) for p in perms), default=-1.0)
+            if c <= threshold:
+                c, zeroed = 0.0, zeroed + 1
+            assert abs(value - c) < 1e-12, t
+        assert ipc.threshold_count == zeroed
+        assert (zeroed > 0) == (surrogates > 0)
+
+
 def test_ipc_config_validation():
     with pytest.raises(ValueError):
         bm.IpcConfig(budget=())

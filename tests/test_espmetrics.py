@@ -9,20 +9,19 @@ from qresp import reservoir as rv
 def test_windowed_stats_against_numpy():
     rng = np.random.default_rng(0)
     series = rng.standard_normal((50, 3))
-    stats = em.windowed_stats(series, t=20, w=7)
-    block = series[14:21]
-    assert np.allclose(stats.mean, block.mean(axis=0))
-    assert np.allclose(stats.variance, block.var(axis=0))  # population convention
+    block = series[14:21]  # the window of 7 rows ending at index 20
+    expected = np.linalg.norm(block.var(axis=0))  # population convention
+    assert abs(em.variance_norm(series, t=20, w=7) - expected) < 1e-12
 
 
 def test_windowed_stats_window_validation():
     series = np.zeros((10, 2))
     with pytest.raises(ValueError):
-        em.windowed_stats(series, t=3, w=5)  # no full window yet
+        em.variance_norm(series, t=3, w=5)  # no full window yet
     with pytest.raises(ValueError):
-        em.windowed_stats(series, t=10, w=5)  # past the end
+        em.variance_norm(series, t=10, w=5)  # past the end
     with pytest.raises(ValueError):
-        em.windowed_stats(series, t=5, w=0)
+        em.variance_norm(series, t=5, w=0)
 
 
 def test_variance_norm_columns_subset():
@@ -66,6 +65,24 @@ def test_ns_indicator_stationary_series_close_to_esp():
     esp = em.esp_indicator(a, b, 1.0, 380)
     ns = em.ns_esp_indicator(a, b, 1.0, 50, 380)
     assert 0.2 < ns / esp < 5.0
+
+
+def test_ns_indicator_matches_written_out_formula():
+    # esp_t * sqrt(v_ref / v_t), v the smaller windowed-variance norm, v_ref at index w-1
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((60, 3)) * np.linspace(2.0, 0.5, 60)[:, None]
+    b = rng.standard_normal((60, 3))
+    w = 8
+
+    def vnorm(x, t):
+        return np.linalg.norm(x[t - w + 1 : t + 1].var(axis=0))
+
+    for t in (w - 1, 20, 59):
+        v_ref = min(vnorm(a, w - 1), vnorm(b, w - 1))
+        v_now = min(vnorm(a, t), vnorm(b, t))
+        esp = np.linalg.norm(a[t] - b[t]) / 0.5
+        assert abs(em.esp_indicator(a, b, 0.5, t) - esp) < 1e-12
+        assert abs(em.ns_esp_indicator(a, b, 0.5, w, t) - esp * np.sqrt(v_ref / v_now)) < 1e-12 * esp
 
 
 def test_ns_indicator_time_validation():

@@ -31,12 +31,6 @@ def test_n_qubits_of():
         qmat.n_qubits_of(np.zeros((2, 4)))
 
 
-def test_tensor_product_matches_kron():
-    a = RNG.standard_normal((2, 2))
-    b = RNG.standard_normal((4, 4))
-    assert np.array_equal(qmat.tensor_product(a, b), np.kron(a, b))
-
-
 def test_check_density_matrix_accepts_valid():
     qmat.check_density_matrix(random_density(2))
 
@@ -129,26 +123,6 @@ def test_cnot_power_group_law():
         p, q = rng.uniform(-2, 2, 2)
         lhs = qmat.cnot_power(p) @ qmat.cnot_power(q)
         assert np.allclose(lhs, qmat.cnot_power(p + q), atol=1e-12)
-
-
-def test_pseudo_inverse_rank_deficient():
-    # two identical columns: pinv must solve the least-squares problem anyway
-    col = RNG.standard_normal(6)
-    m = np.stack([col, col, RNG.standard_normal(6)], axis=1)
-    pinv = qmat.pseudo_inverse(m, rel_tol=1e-10)
-    assert np.allclose(m @ pinv @ m, m, atol=1e-10)
-
-
-def test_pseudo_inverse_validates_tolerance():
-    with pytest.raises(ValueError):
-        qmat.pseudo_inverse(np.eye(2), rel_tol=0.0)
-    with pytest.raises(ValueError):
-        qmat.pseudo_inverse(np.eye(2), rel_tol=1.5)
-
-
-def test_singular_values_of_diagonal():
-    sv = qmat.singular_values(np.diag([3.0, -2.0, 0.0]))
-    assert np.allclose(sv, [3.0, 2.0, 0.0])
 
 
 def test_haar_random_pure_state_properties():

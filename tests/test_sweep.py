@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +54,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         sweep.SweepConfig(experiment="unknown")
     with pytest.raises(ValueError):
+        sweep.SweepConfig(experiment="classical_reference")  # removed: it ran the axis grid
+    with pytest.raises(ValueError):
         sweep.SweepConfig(metrics=())
     with pytest.raises(ValueError):
         sweep.SweepConfig(metrics=("esp", "bogus"))
@@ -88,6 +92,33 @@ def test_run_sweep_resume_from_checkpoint(tmp_path):
         assert len(fh.readlines()) == len(full.values)
 
 
+def test_run_sweep_resumes_after_torn_last_line(tmp_path):
+    cfg = small_config(tmp_path)
+    full = sweep.run_sweep(cfg, resume=False)
+    ckpt = tmp_path / sweep.checkpoint_path("field.csv")
+    lines = ckpt.read_text().splitlines(keepends=True)
+    # a crash while writing the fourth record leaves half of it, no newline
+    ckpt.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+    resumed = sweep.run_sweep(cfg, resume=True)
+    assert resumed.values == full.values
+    rows = [json.loads(line) for line in ckpt.read_text().splitlines()]
+    assert sorted(row["index"] for row in rows) == list(range(len(full.values)))
+    # a bad record before the last one is corruption, not a torn write
+    ckpt.write_text("".join(lines[:2]) + "{broken\n" + "".join(lines[2:]))
+    with pytest.raises(json.JSONDecodeError):
+        sweep.run_sweep(cfg, resume=True)
+
+
+def test_run_sweep_closes_pool_on_error(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("checkpoint write failed")
+
+    monkeypatch.setattr(sweep, "json", SimpleNamespace(dumps=fail))
+    with pytest.raises(RuntimeError, match="checkpoint write failed"):
+        sweep.run_sweep(small_config(tmp_path, workers=2), resume=False)
+    assert multiprocessing.active_children() == []
+
+
 def test_emit_and_parse_roundtrip(tmp_path):
     cfg = small_config(tmp_path)
     result = sweep.run_sweep(cfg, resume=False)
@@ -105,11 +136,19 @@ def test_emit_and_parse_roundtrip(tmp_path):
 def test_emit_field_json(tmp_path):
     cfg = small_config(tmp_path)
     result = sweep.run_sweep(cfg, resume=False)
+    result.values[0] = {"esp": float("nan"), "ns_esp": float("inf")}
+    result.values[1] = {"esp": 0.5, "ns_esp": float("-inf")}
     out = tmp_path / "field.json"
     sweep.emit_field(result, str(out), fmt="json")
-    payload = json.loads(out.read_text())
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
     assert len(payload["points"]) == 6
     assert payload["config"]["experiment"] == "ns_esp_axis_grid"
+    assert payload["points"][0]["metrics"] == {"esp": "nan", "ns_esp": "inf"}
+    assert payload["points"][1]["metrics"] == {"esp": 0.5, "ns_esp": "-inf"}
 
 
 def test_emit_field_rejects_empty():
@@ -130,6 +169,10 @@ def test_fmt_specials():
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "nope"}))
+    assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
+    # removed experiment; a small grid, so that accepting it would fail fast
+    removed = dict(experiment="classical_reference", metrics=["esp"], azimuth_count=2, polar_count=2)
+    bad.write_text(json.dumps(dict(removed, indicator_len=20, out_path=str(tmp_path / "x.csv"))))
     assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
 
 
