@@ -85,31 +85,22 @@ class ReadoutFit:
     degenerate: bool  # rank-deficient design solved by minimum-norm pseudo-inverse
 
 
-def train_linear_readout(features, target, split: SplitSpec, ridge: float = 0.0) -> ReadoutFit:
+def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
     """Least-squares readout on the train segment, evaluated on the test segment.
 
-    ridge > 0 solves the Tikhonov-regularized normal equations; ridge = 0 is
-    ordinary least squares via the pseudo-inverse (minimum-norm solution on
-    degenerate designs, flagged on the result).  The constant all-identity
+    Ordinary least squares via the pseudo-inverse: the minimum-norm solution
+    on degenerate designs, flagged on the result.  The constant all-identity
     readout column plays the role of the intercept.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
     if len(x) != len(y):
         raise ValueError(f"feature rows {len(x)} do not match target length {len(y)}")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     train_start, test_start = split.boundaries(len(y))
     x_train, y_train = x[train_start:test_start], y[train_start:test_start]
 
-    degenerate = False
-    if ridge > 0:
-        gram = x_train.T @ x_train + ridge * np.eye(x.shape[1])
-        weights = np.linalg.solve(gram, x_train.T @ y_train)
-    else:
-        rank = np.linalg.matrix_rank(x_train)
-        degenerate = rank < x.shape[1]
-        weights = np.linalg.pinv(x_train) @ y_train
+    degenerate = np.linalg.matrix_rank(x_train) < x.shape[1]
+    weights = np.linalg.pinv(x_train) @ y_train
     test = slice(test_start, len(y))
     return ReadoutFit(
         weights=weights,
@@ -187,6 +178,8 @@ def mc_report(inputs, features, max_delay: int, washout: int) -> McResult:
     """Memory functions for delays 0..max_delay plus the paper's aggregates."""
     if max_delay < 1:
         raise ValueError("max_delay must be at least 1")
+    if washout < max_delay:
+        raise ValueError("washout must cover the largest delay")
     inputs = np.asarray(inputs, dtype=float)
     q = _capacity_basis(features, washout)
     n = len(q)

@@ -117,7 +117,6 @@ def indicator_ensemble(
     seq_len: int,
     w: int,
     rng: np.random.Generator,
-    basis=None,
     columns=None,
 ) -> IndicatorTrace:
     """Average indicators over input sequences x unordered initial-state pairs.
@@ -136,7 +135,7 @@ def indicator_ensemble(
     ns_sum = np.zeros(seq_len - w + 1)
     count = 0
     for inputs in input_sets:
-        rows = [_selected(run_reservoir(model, inputs, rho, basis), columns) for rho in states]
+        rows = [_selected(run_reservoir(model, inputs, rho), columns) for rho in states]
         variances = [_variance_norms(r, w) for r in rows]
         for i, j in combinations(range(n_states), 2):
             s0_dist = qmat.hilbert_schmidt_distance(states[i], states[j])

@@ -20,6 +20,7 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 HERMITICITY_TOL = 1e-10
+GENERATOR_HERMITICITY_TOL = 1e-8  # of the Hamiltonian handed to evolution_unitary
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 
@@ -84,18 +85,12 @@ def permute_qubits(rho: np.ndarray, source_positions) -> np.ndarray:
     return t.reshape(2**n, 2**n)
 
 
-def hermitian_eig(h: np.ndarray, herm_tol: float = 1e-8):
-    """Eigendecomposition of a Hermitian matrix: ascending eigenvalues, orthonormal columns."""
-    dev = np.max(np.abs(h - h.conj().T))
-    if dev > herm_tol:
-        raise ValueError(f"matrix not Hermitian: deviation {dev:.3e} > {herm_tol:.0e}")
-    eigenvalues, eigenvectors = np.linalg.eigh(h)
-    return eigenvalues, eigenvectors
-
-
 def evolution_unitary(h: np.ndarray) -> np.ndarray:
     """exp(-iH) for Hermitian H, via eigendecomposition (exact at these dimensions)."""
-    w, v = hermitian_eig(h)
+    dev = np.max(np.abs(h - h.conj().T))
+    if dev > GENERATOR_HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian: deviation {dev:.3e} > {GENERATOR_HERMITICITY_TOL:.0e}")
+    w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 

@@ -9,7 +9,7 @@ Two quantum models are provided:
   unitaries, amplitude damping on qubit 0 and a fractional-CNOT
   entangler, driven by a product R_Y input rotation.
 
-``ClassicalReference`` implements contracting tanh echo-state networks
+``run_classical_reference`` runs contracting tanh echo-state networks
 with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t),
 and ``DepolarizingReservoir`` is the analytically solvable toy channel
 used in the property suites.
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmat
-from .qmat import I2, X, Z
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +128,17 @@ def assemble_sk_hamiltonian(couplings: np.ndarray, local_fields: np.ndarray) -> 
     (J[i, j] for i > j); `local_fields` holds h + D_i per qubit.
     """
     n = len(local_fields)
-    dim = 2**n
 
-    def embed(op: np.ndarray, qubit: int) -> np.ndarray:
-        m = np.eye(1, dtype=complex)
-        for q in range(n):
-            m = np.kron(m, op if q == qubit else I2)
-        return m
+    def string(letter: str, *qubits: int) -> np.ndarray:
+        return qmat.pauli_matrix("".join(letter if q in qubits else "I" for q in range(n)))
 
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         for j in range(i):
             if couplings[i, j] != 0.0:
-                h += couplings[i, j] * (embed(X, i) @ embed(X, j))
+                h += couplings[i, j] * string("X", i, j)
     for i in range(n):
-        h += 0.5 * local_fields[i] * embed(Z, i)
+        h += 0.5 * local_fields[i] * string("Z", i)
     return h
 
 
@@ -328,11 +323,9 @@ def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarra
     return np.einsum("bij,ji->b", basis_matrices, rho).real
 
 
-def run_reservoir(model, inputs, rho0: np.ndarray, basis=None) -> ReadoutTrajectory:
-    """Drive the model with the input sequence, recording readouts after each step."""
-    if basis is None:
-        basis = qmat.all_pauli_strings(model.n_qubits)
-    basis = tuple(basis)
+def run_reservoir(model, inputs, rho0: np.ndarray) -> ReadoutTrajectory:
+    """Drive the model with the inputs, recording all 4**n Pauli expectations after each step."""
+    basis = tuple(qmat.all_pauli_strings(model.n_qubits))
     ops = qmat.pauli_basis_matrices(basis)
     inputs = np.asarray(inputs, dtype=float)
     values = np.empty((len(inputs), len(basis)))
@@ -373,38 +366,28 @@ class ClassicalRefConfig:
             raise ValueError("inner map must be contracting (spectral radius in (0, 1))")
 
 
-class ClassicalReference:
-    """x_{t+1} = tanh(W x_t + w_in u_t), wrapped by scaling c^t or bias b t."""
-
-    def __init__(self, config: ClassicalRefConfig):
-        self.config = config
-        rng = np.random.default_rng(config.seed)
-        w = rng.standard_normal((config.size, config.size))
-        radius = np.max(np.abs(np.linalg.eigvals(w)))
-        self.w = w * (config.spectral_radius / radius)
-        self.w_in = rng.standard_normal(config.size)
-
-    def inner(self, x: np.ndarray, u: float) -> np.ndarray:
-        return np.tanh(self.w @ x + self.w_in * u)
-
-    def run(self, inputs, y0: np.ndarray) -> np.ndarray:
-        """Trajectory of y_1..y_T (time-major)."""
-        cfg = self.config
-        inputs = np.asarray(inputs, dtype=float)
-        out = np.empty((len(inputs), cfg.size))
-        y = np.asarray(y0, dtype=float)
-        for t, u in enumerate(inputs):
-            if cfg.kind == "scaled":
-                y = cfg.rate ** (t + 1) * self.inner(y / cfg.rate**t, u)
-            elif cfg.kind == "biased":
-                y = self.inner(y - cfg.rate * t, u) + cfg.rate * (t + 1)
-            else:
-                y = self.inner(y, u)
-            if not np.all(np.isfinite(y)):
-                raise OverflowError(f"classical reference overflowed at step {t}")
-            out[t] = y
-        return out
-
-
 def run_classical_reference(config: ClassicalRefConfig, inputs, y0) -> np.ndarray:
-    return ClassicalReference(config).run(inputs, y0)
+    """Trajectory y_1..y_T (time-major) of x_{t+1} = tanh(W x_t + w_in u_t),
+    wrapped by scaling c^t or bias b t."""
+    rng = np.random.default_rng(config.seed)
+    w = rng.standard_normal((config.size, config.size))
+    w = w * (config.spectral_radius / np.max(np.abs(np.linalg.eigvals(w))))
+    w_in = rng.standard_normal(config.size)
+
+    def inner(x: np.ndarray, u: float) -> np.ndarray:
+        return np.tanh(w @ x + w_in * u)
+
+    inputs = np.asarray(inputs, dtype=float)
+    out = np.empty((len(inputs), config.size))
+    y = np.asarray(y0, dtype=float)
+    for t, u in enumerate(inputs):
+        if config.kind == "scaled":
+            y = config.rate ** (t + 1) * inner(y / config.rate**t, u)
+        elif config.kind == "biased":
+            y = inner(y - config.rate * t, u) + config.rate * (t + 1)
+        else:
+            y = inner(y, u)
+        if not np.all(np.isfinite(y)):
+            raise OverflowError(f"classical reference overflowed at step {t}")
+        out[t] = y
+    return out

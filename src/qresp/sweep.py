@@ -11,7 +11,8 @@ Each grid point is evaluated independently with a seed derived from
 (master seed, point index), so results are deterministic for a given config
 regardless of worker count, and adding points never reshuffles existing
 ones.  Completed points are appended to a JSONL checkpoint next to the
-output file; re-running a config resumes from it.
+output file, after a first line holding the config; re-running the same
+config resumes from it.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class SweepConfig:
     ipc_surrogates: int = 20
 
     def __post_init__(self):
+        object.__setattr__(self, "metrics", tuple(self.metrics))
+        object.__setattr__(self, "ipc_budget", tuple(tuple(pair) for pair in self.ipc_budget))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.metrics:
@@ -172,16 +175,26 @@ def _build_model(cfg: SweepConfig, coord: tuple[float, float]):
     return NsReservoir(NsModelConfig(hamiltonian=ham, axis=AxisConfig(azimuth=azimuth, polar=polar)))
 
 
+def _driven(model, rng: np.random.Generator, length: int, low: float, high: float):
+    """Uniform[low, high] inputs and the readout they drive from a Haar-random state."""
+    u = rng.uniform(low, high, size=length)
+    rho0 = qmat.haar_random_pure_state(model.n_qubits, rng)
+    return u, run_reservoir(model, u, rho0)
+
+
 def _narma_rnmse(model, cfg: SweepConfig, order: int, rng: np.random.Generator) -> float:
-    """RNMSE averaged over several NARMA target sequences."""
-    basis = qmat.all_pauli_strings(model.n_qubits)
+    """RNMSE averaged over several NARMA target sequences.
+
+    The reservoir is driven with the raw NARMA input u in [0, 0.5], whereas
+    acceptance criterion 5 drives it with 4u - 1 in [-1, 1].  Switching to
+    that encoding moves every narma2 cell, so it waits for new reference
+    fields of the benchmark.
+    """
     split = benchmarks.SplitSpec()
     scores = []
     for _ in range(cfg.narma_sequences):
-        u = rng.uniform(0.0, 0.5, size=cfg.narma_len)
+        u, traj = _driven(model, rng, cfg.narma_len, 0.0, 0.5)
         target = benchmarks.narma_generate(u, order)
-        rho0 = qmat.haar_random_pure_state(model.n_qubits, rng)
-        traj = run_reservoir(model, u, rho0, basis)
         fit = benchmarks.train_linear_readout(traj, target, split)
         scores.append(benchmarks.rnmse(fit.test_target, fit.predictions))
     return float(np.mean(scores))
@@ -193,20 +206,11 @@ def evaluate_point(cfg: SweepConfig, index: int, coord: tuple[float, float]) -> 
     streams = {name: np.random.default_rng(child) for name, child in
                zip(METRICS, root.spawn(len(METRICS)))}
     model = _build_model(cfg, coord)
-    basis = qmat.all_pauli_strings(model.n_qubits)
     values: dict[str, float] = {}
 
-    indicator_metrics = {"esp", "ns_esp"} & set(cfg.metrics)
-    if indicator_metrics:
-        trace = espmetrics.indicator_ensemble(
-            model,
-            cfg.indicator_inputs,
-            cfg.indicator_states,
-            cfg.indicator_len,
-            cfg.indicator_window,
-            streams["esp"],
-            basis,
-        )
+    ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len, cfg.indicator_window)
+    if {"esp", "ns_esp"} & set(cfg.metrics):
+        trace = espmetrics.indicator_ensemble(model, *ensemble, streams["esp"])
         if "esp" in cfg.metrics:
             values["esp"] = trace.final_esp
         if "ns_esp" in cfg.metrics:
@@ -216,38 +220,23 @@ def evaluate_point(cfg: SweepConfig, index: int, coord: tuple[float, float]) -> 
         ("ns_esp_nondamping", espmetrics.non_damping_subsystem_selection),
     ):
         if name in cfg.metrics:
-            trace = espmetrics.subset_indicator_ensemble(
-                model,
-                selector(basis),
-                cfg.indicator_inputs,
-                cfg.indicator_states,
-                cfg.indicator_len,
-                cfg.indicator_window,
-                streams[name],
-                basis,
-            )
+            selection = selector(qmat.all_pauli_strings(model.n_qubits))
+            trace = espmetrics.subset_indicator_ensemble(model, selection, *ensemble, streams[name])
             values[name] = trace.final_ns
     if "narma2" in cfg.metrics:
         values["narma2"] = _narma_rnmse(model, cfg, 2, streams["narma2"])
     if "narma10" in cfg.metrics:
         values["narma10"] = _narma_rnmse(model, cfg, 10, streams["narma10"])
 
-    needs_long_run = {"mc", "ipc"} & set(cfg.metrics)
-    if needs_long_run:
-        rng = streams["mc"]
-        u = rng.uniform(-1.0, 1.0, size=cfg.mc_len)
-        rho0 = qmat.haar_random_pure_state(model.n_qubits, rng)
-        traj = run_reservoir(model, u, rho0, basis)
+    if {"mc", "ipc"} & set(cfg.metrics):
+        u, traj = _driven(model, streams["mc"], cfg.mc_len, -1.0, 1.0)
         if "mc" in cfg.metrics:
             values["mc"] = benchmarks.mc_report(u, traj, cfg.mc_max_delay, cfg.mc_washout).total
         if "ipc" in cfg.metrics:
             ipc_cfg = benchmarks.IpcConfig(budget=cfg.ipc_budget, surrogate_count=cfg.ipc_surrogates)
             values["ipc"] = benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout, streams["ipc"]).total
     if "rank" in cfg.metrics:
-        rng = streams["rank"]
-        u = rng.uniform(-1.0, 1.0, size=cfg.rank_len + cfg.rank_washout)
-        rho0 = qmat.haar_random_pure_state(model.n_qubits, rng)
-        traj = run_reservoir(model, u, rho0, basis)
+        _, traj = _driven(model, streams["rank"], cfg.rank_len + cfg.rank_washout, -1.0, 1.0)
         values["rank"] = float(
             benchmarks.trajectory_rank(traj, cfg.rank_threshold, cfg.rank_washout).raw
         )
@@ -266,32 +255,46 @@ def checkpoint_path(out_path: str) -> str:
     return out_path + ".checkpoint.jsonl"
 
 
-def _load_checkpoint(path: str) -> dict:
-    """Completed points by index.
+def _load_checkpoint(path: str) -> list:
+    """The decoded checkpoint lines, or [] when there is no checkpoint.
 
     Text after the last newline is a record torn by a crash mid-write: it
     is cut from the file, so that appending resumes on a line boundary, and
     its point runs again.  An undecodable complete line raises.
     """
     if not os.path.exists(path):
-        return {}
+        return []
     with open(path, "rb+") as fh:
         data = fh.read()
         end = data.rfind(b"\n") + 1
         if end < len(data):
             fh.truncate(end)
-    rows = [json.loads(line) for line in data[:end].splitlines() if line.strip()]
-    return {row["index"]: (row["values"], row.get("error")) for row in rows}
+    return [json.loads(line) for line in data[:end].splitlines() if line.strip()]
 
 
 def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
-    """Evaluate every grid point, resuming from the checkpoint when present."""
+    """Evaluate every grid point, resuming from the checkpoint unless `resume` is false.
+
+    The checkpoint's first line holds the config; resuming a checkpoint
+    written with another config raises, naming the fields that differ.
+    """
     coords = grid_coordinates(cfg)
     ckpt = checkpoint_path(cfg.out_path)
-    done = _load_checkpoint(ckpt) if resume else {}
+    fields = asdict(cfg)
+    del fields["workers"], fields["out_path"]  # the points do not depend on these
+    header = json.loads(json.dumps({"config": fields}))  # as it reads back
+    rows = _load_checkpoint(ckpt) if resume else []
+    if rows:
+        expected, found = header["config"], rows[0].get("config", {})
+        differ = sorted(k for k in expected.keys() | found.keys() if expected.get(k) != found.get(k))
+        if differ:
+            raise ValueError(f"checkpoint {ckpt} was written with a different {', '.join(differ)}")
+    else:
+        with open(ckpt, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header) + "\n")
+    results = {row["index"]: (row["values"], row.get("error")) for row in rows[1:]}
 
-    pending = [(cfg, i, coords[i]) for i in range(len(coords)) if i not in done]
-    results = dict(done)
+    pending = [(cfg, i, coords[i]) for i in range(len(coords)) if i not in results]
     if pending:
         pool = None if cfg.workers == 1 else ProcessPoolExecutor(max_workers=cfg.workers)
         try:
@@ -310,7 +313,7 @@ def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
     return FieldResult(
         coord_names=coord_names,
         coords=coords,
-        metrics=tuple(cfg.metrics),
+        metrics=cfg.metrics,
         values=[v for v, _ in ordered],
         errors=[e for _, e in ordered],
         config=asdict(cfg),
@@ -385,16 +388,12 @@ def _config_from_args(args) -> SweepConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
-    if "metrics" in base:
-        base["metrics"] = tuple(base["metrics"])
-    if "ipc_budget" in base:
-        base["ipc_budget"] = tuple(tuple(p) for p in base["ipc_budget"])
     cfg = SweepConfig(**base)
     overrides = {}
     if args.experiment:
         overrides["experiment"] = args.experiment
     if args.metrics:
-        overrides["metrics"] = tuple(args.metrics.split(","))
+        overrides["metrics"] = args.metrics.split(",")
     if args.out:
         overrides["out_path"] = args.out
     if args.workers is not None:
@@ -424,7 +423,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    result = run_sweep(cfg)
+    try:
+        result = run_sweep(cfg)
+    except ValueError as exc:  # a checkpoint of another config, or an undecodable one
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     emit_field(result, cfg.out_path, fmt=args.format)
     failures = sum(1 for e in result.errors if e)
     if failures:

@@ -94,15 +94,9 @@ def test_permute_qubits_identity():
     assert np.allclose(qmat.permute_qubits(rho, [0, 1, 2]), rho)
 
 
-def test_hermitian_eig_reconstructs():
-    h = random_density(2) + random_density(2).conj().T
-    vals, vecs = qmat.hermitian_eig(h)
-    assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, h)
-
-
-def test_hermitian_eig_rejects_nonhermitian():
+def test_evolution_unitary_rejects_nonhermitian():
     with pytest.raises(ValueError):
-        qmat.hermitian_eig(RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))
+        qmat.evolution_unitary(RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))
 
 
 def test_evolution_unitary_against_expm():

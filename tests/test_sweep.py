@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,6 +66,12 @@ def test_config_validation():
         sweep.SweepConfig(workers=0)
 
 
+def test_config_takes_json_lists_as_tuples():
+    listed = sweep.SweepConfig(metrics=["mc", "ipc"], ipc_budget=[[1, 5], [2, 3]])
+    tupled = sweep.SweepConfig(metrics=("mc", "ipc"), ipc_budget=((1, 5), (2, 3)))
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+
 def test_presets_present():
     assert set(sweep.HAMILTONIAN_PRESETS) == {"H1", "H2", "H3", "H4", "H5"}
     h1 = sweep.HAMILTONIAN_PRESETS["H1"]
@@ -89,7 +96,27 @@ def test_run_sweep_resume_from_checkpoint(tmp_path):
     resumed = sweep.run_sweep(cfg, resume=True)
     assert resumed.values == full.values
     with open(ckpt) as fh:
-        assert len(fh.readlines()) == len(full.values)
+        assert len(fh.readlines()) == 1 + len(full.values)  # config header, one line per point
+
+
+def test_run_sweep_checkpoint_bound_to_config(tmp_path):
+    cfg = small_config(tmp_path)
+    ckpt = tmp_path / sweep.checkpoint_path("field.csv")
+    full = sweep.run_sweep(cfg, resume=False)
+    sweep.run_sweep(cfg, resume=False)  # starts the checkpoint afresh
+    lines = ckpt.read_text().splitlines(keepends=True)
+    assert len(lines) == 1 + len(full.values)
+    header = json.loads(lines[0])["config"]
+    assert header["seed"] == 0 and "workers" not in header and "out_path" not in header
+    # the worker count does not change the points, so the checkpoint still holds
+    assert sweep.run_sweep(replace(cfg, workers=2), resume=True).values == full.values
+    with pytest.raises(ValueError, match="different seed"):
+        sweep.run_sweep(replace(cfg, seed=2), resume=True)
+    with pytest.raises(ValueError, match="different indicator_len, seed"):
+        sweep.run_sweep(replace(cfg, seed=2, indicator_len=50), resume=True)
+    ckpt.write_text("".join(lines[1:]))  # no header: every field differs
+    with pytest.raises(ValueError, match="different azimuth_count"):
+        sweep.run_sweep(cfg, resume=True)
 
 
 def test_run_sweep_resumes_after_torn_last_line(tmp_path):
@@ -102,7 +129,11 @@ def test_run_sweep_resumes_after_torn_last_line(tmp_path):
     resumed = sweep.run_sweep(cfg, resume=True)
     assert resumed.values == full.values
     rows = [json.loads(line) for line in ckpt.read_text().splitlines()]
-    assert sorted(row["index"] for row in rows) == list(range(len(full.values)))
+    assert sorted(row["index"] for row in rows[1:]) == list(range(len(full.values)))
+    # a header torn mid-write leaves nothing to resume: the sweep starts afresh
+    ckpt.write_text(lines[0][:10])
+    assert sweep.run_sweep(cfg, resume=True).values == full.values
+    assert ckpt.read_text().splitlines(keepends=True)[0] == lines[0]
     # a bad record before the last one is corruption, not a torn write
     ckpt.write_text("".join(lines[:2]) + "{broken\n" + "".join(lines[2:]))
     with pytest.raises(json.JSONDecodeError):
@@ -110,10 +141,14 @@ def test_run_sweep_resumes_after_torn_last_line(tmp_path):
 
 
 def test_run_sweep_closes_pool_on_error(tmp_path, monkeypatch):
-    def fail(*args, **kwargs):
-        raise RuntimeError("checkpoint write failed")
+    dumps = json.dumps
 
-    monkeypatch.setattr(sweep, "json", SimpleNamespace(dumps=fail))
+    def fail(obj, **kwargs):
+        if "index" in obj:  # the first point record, written while the pool runs
+            raise RuntimeError("checkpoint write failed")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(sweep, "json", SimpleNamespace(dumps=fail, loads=json.loads))
     with pytest.raises(RuntimeError, match="checkpoint write failed"):
         sweep.run_sweep(small_config(tmp_path, workers=2), resume=False)
     assert multiprocessing.active_children() == []
@@ -166,14 +201,21 @@ def test_fmt_specials():
     assert float(sweep._fmt(0.1)) == 0.1
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "nope"}))
     assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
-    # removed experiment; a small grid, so that accepting it would fail fast
-    removed = dict(experiment="classical_reference", metrics=["esp"], azimuth_count=2, polar_count=2)
-    bad.write_text(json.dumps(dict(removed, indicator_len=20, out_path=str(tmp_path / "x.csv"))))
+    # a small grid, so that accepting a bad config would fail fast
+    small = dict(metrics=["esp"], azimuth_count=2, polar_count=2, indicator_len=20,
+                 out_path=str(tmp_path / "x.csv"))
+    bad.write_text(json.dumps(dict(small, experiment="classical_reference")))  # removed
     assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
+    # resuming a checkpoint written with another seed
+    bad.write_text(json.dumps(small))
+    assert sweep.main(["--config", str(bad), "--seed", "1"]) == sweep.EXIT_OK
+    capsys.readouterr()
+    assert sweep.main(["--config", str(bad), "--seed", "2"]) == sweep.EXIT_CONFIG_ERROR
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_runs_and_writes(tmp_path):
