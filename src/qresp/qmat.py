@@ -4,6 +4,8 @@ Everything here operates on plain numpy arrays: operators are complex
 square matrices of dimension 2**n, density matrices additionally satisfy
 the Hermiticity / unit-trace / positivity tolerances enforced by
 ``check_density_matrix``.  Qubit 0 is the leftmost tensor factor.
+``n_qubits_of``, ``partial_trace``, ``permute_qubits`` and ``kron`` also
+take a stack of matrices, shape (..., d, d), and act on each one alike.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ EIGENVALUE_FLOOR = -1e-9
 
 
 def n_qubits_of(matrix: np.ndarray) -> int:
-    dim = matrix.shape[0]
+    """Qubit count of a matrix, or of each matrix in a (..., d, d) stack."""
+    dim = matrix.shape[-1]
     n = int(round(np.log2(dim)))
-    if matrix.shape != (dim, dim) or 2**n != dim:
+    if matrix.shape[-2:] != (dim, dim) or 2**n != dim:
         raise ValueError(f"not a square power-of-two matrix: shape {matrix.shape}")
     return n
 
@@ -65,13 +68,15 @@ def partial_trace(rho: np.ndarray, traced_qubits, n_qubits: int | None = None) -
         raise ValueError(f"qubit indices {traced} out of range for {n_qubits} qubits")
     if len(traced) == n_qubits:
         raise ValueError("cannot trace out every qubit")
-    t = np.asarray(rho).reshape([2] * (2 * n_qubits))
+    rho = np.asarray(rho)
+    lead = rho.shape[:-2]  # batch axes come first
+    t = rho.reshape(lead + (2,) * (2 * n_qubits))
     for removed, q in enumerate(traced):
-        ax = q - removed
+        ax = len(lead) + q - removed
         t = np.trace(t, axis1=ax, axis2=ax + n_qubits - removed)
         # after the trace the tensor has one fewer row and column axis
     kept = n_qubits - len(traced)
-    return t.reshape(2**kept, 2**kept)
+    return t.reshape(lead + (2**kept, 2**kept))
 
 
 def permute_qubits(rho: np.ndarray, source_positions) -> np.ndarray:
@@ -80,9 +85,23 @@ def permute_qubits(rho: np.ndarray, source_positions) -> np.ndarray:
     src = list(source_positions)
     if sorted(src) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {src}")
-    t = np.asarray(rho).reshape([2] * (2 * n))
-    t = t.transpose(src + [p + n for p in src])
-    return t.reshape(2**n, 2**n)
+    rho = np.asarray(rho)
+    lead = rho.shape[:-2]
+    b = len(lead)
+    t = rho.reshape(lead + (2,) * (2 * n))
+    t = t.transpose(list(range(b)) + [b + p for p in src] + [b + n + p for p in src])
+    return t.reshape(lead + (2**n, 2**n))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the trailing two axes, broadcast over any leading ones.
+
+    Each entry is the one product np.kron forms; np.kron itself would also
+    take the product over the leading (batch) axes.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def evolution_unitary(h: np.ndarray) -> np.ndarray:

@@ -9,6 +9,10 @@ Two quantum models are provided:
   unitaries, amplitude damping on qubit 0 and a fractional-CNOT
   entangler, driven by a product R_Y input rotation.
 
+Every ``step``, and ``run_reservoir``, also acts on a stack of density
+matrices, shape (..., d, d), driven by inputs of the stack's leading shape:
+each trajectory of a stack goes through the numpy calls a single one does.
+
 ``run_classical_reference`` runs contracting tanh echo-state networks
 with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t),
 and ``DepolarizingReservoir`` is the analytically solvable toy channel
@@ -27,15 +31,29 @@ from . import qmat
 # ---------------------------------------------------------------------------
 # single-qubit rotations (half-angle convention)
 
-def rz(angle: float) -> np.ndarray:
-    """Rotation about Z by `angle` on the Bloch sphere."""
-    return np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]])
+def rz(angle) -> np.ndarray:
+    """Rotation about Z by `angle` on the Bloch sphere; (..., 2, 2) for an array of angles."""
+    out = np.zeros(np.shape(angle) + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(-0.5j * angle)
+    out[..., 1, 1] = np.exp(0.5j * angle)
+    return out
 
 
-def ry(angle: float) -> np.ndarray:
-    """Rotation about Y by `angle` on the Bloch sphere."""
+def ry(angle) -> np.ndarray:
+    """Rotation about Y by `angle` on the Bloch sphere; (..., 2, 2) for an array of angles."""
     c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    out = np.empty(np.shape(angle) + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    return out
+
+
+def _check_inputs(u) -> None:
+    """Raise ValueError naming the first input outside [-1, 1] (nan included)."""
+    inside = np.abs(u) <= 1.0
+    if not inside.all():
+        raise ValueError(f"input {np.asarray(u)[~inside].flat[0]} outside [-1, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -184,25 +202,24 @@ def axis_frame_unitary(axis: AxisConfig) -> np.ndarray:
     return u3(*axis_to_euler(axis))
 
 
-def input_unitary(u: float, axis: AxisConfig) -> np.ndarray:
+def input_unitary(u, axis: AxisConfig) -> np.ndarray:
     """Rotation by arccos(u) about the given axis: U3^dag Rz(arccos u) U3."""
-    if not -1.0 <= u <= 1.0:
-        raise ValueError(f"input {u} outside [-1, 1]")
+    _check_inputs(u)
     frame = axis_frame_unitary(axis)
     return frame.conj().T @ rz(np.arccos(u)) @ frame
 
 
-def encoded_state(u: float, axis: AxisConfig, n_qubits: int = 1) -> np.ndarray:
+def encoded_state(u, axis: AxisConfig, n_qubits: int = 1) -> np.ndarray:
     """sigma_A(u; axis) = U |0><0|^{tensor n} U^dag with the same U on each qubit."""
     enc = input_unitary(u, axis)
-    single = enc @ np.diag([1.0 + 0j, 0.0]) @ enc.conj().T
+    single = enc @ np.diag([1.0 + 0j, 0.0]) @ enc.conj().swapaxes(-1, -2)
     sigma = single
     for _ in range(n_qubits - 1):
-        sigma = np.kron(sigma, single)
+        sigma = qmat.kron(sigma, single)
     return sigma
 
 
-def reset_encode(rho: np.ndarray, u: float, axis: AxisConfig, reset_subsystem=(1,)) -> np.ndarray:
+def reset_encode(rho: np.ndarray, u, axis: AxisConfig, reset_subsystem=(1,)) -> np.ndarray:
     """Replace the reset subsystem by the input-encoded pure state.
 
     tr_A(rho) (x) sigma_A, with tensor factors permuted back to the
@@ -212,7 +229,7 @@ def reset_encode(rho: np.ndarray, u: float, axis: AxisConfig, reset_subsystem=(1
     a = tuple(sorted(set(reset_subsystem)))
     rest = qmat.partial_trace(rho, a, n)
     sigma = encoded_state(u, axis, n_qubits=len(a))
-    combined = np.kron(rest, sigma)
+    combined = qmat.kron(rest, sigma)
     kept = [q for q in range(n) if q not in a]
     current_order = kept + list(a)  # qubit labels of combined, left to right
     source = [current_order.index(q) for q in range(n)]
@@ -230,7 +247,7 @@ class NsReservoir:
         self.unitary = qmat.evolution_unitary(self.hamiltonian)
         self.n_qubits = config.hamiltonian.n_qubits
 
-    def step(self, rho: np.ndarray, u: float) -> np.ndarray:
+    def step(self, rho: np.ndarray, u) -> np.ndarray:
         encoded = reset_encode(rho, u, self.config.axis, self.config.reset_subsystem)
         return self.unitary @ encoded @ self.unitary.conj().T
 
@@ -274,13 +291,12 @@ class SubsetReservoir:
         rho = amplitude_damping_qubit0(rho, self.config.damping_rate)
         return self.entangler @ rho @ self.entangler.conj().T
 
-    def step(self, rho: np.ndarray, u: float) -> np.ndarray:
-        if not -1.0 <= u <= 1.0:
-            raise ValueError(f"input {u} outside [-1, 1]")
+    def step(self, rho: np.ndarray, u) -> np.ndarray:
+        _check_inputs(u)
         rho = self.system_step(rho)
         r = ry(np.arccos(u))
-        u_in = np.kron(r, r)
-        return u_in @ rho @ u_in.conj().T
+        u_in = qmat.kron(r, r)
+        return u_in @ rho @ u_in.conj().swapaxes(-1, -2)
 
 
 class DepolarizingReservoir:
@@ -295,7 +311,7 @@ class DepolarizingReservoir:
         self.unitary = qmat.haar_random_unitary(dim, np.random.default_rng(seed))
         self.mixed = np.eye(dim, dtype=complex) / dim
 
-    def step(self, rho: np.ndarray, u: float) -> np.ndarray:
+    def step(self, rho: np.ndarray, u) -> np.ndarray:
         rotated = self.unitary @ rho @ self.unitary.conj().T
         return (1 - self.epsilon) * rotated + self.epsilon * self.mixed
 
@@ -305,13 +321,17 @@ class DepolarizingReservoir:
 
 @dataclass
 class ReadoutTrajectory:
-    """Time-major matrix of Pauli expectations: values[t, k] = tr(P_k rho_{t+1})."""
+    """Time-major Pauli expectations: values[..., t, k] = tr(P_k rho_{t+1}).
+
+    Leading axes, if any, index the trajectories of a batch.
+    """
 
     basis: tuple[str, ...]
     values: np.ndarray
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        """The number of time steps."""
+        return self.values.shape[-2]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The readout matrix, so np.asarray accepts a trajectory or a plain array alike."""
@@ -319,26 +339,32 @@ class ReadoutTrajectory:
 
 
 def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarray:
-    """Real expectation values tr(P rho) for a stacked (B, d, d) operator array."""
-    return np.einsum("bij,ji->b", basis_matrices, rho).real
+    """Real expectation values tr(P rho), shape (..., B), for a stacked (B, d, d)
+    operator array and a state or (..., d, d) stack of states."""
+    return np.einsum("bij,...ji->...b", basis_matrices, rho).real
 
 
 def run_reservoir(model, inputs, rho0: np.ndarray) -> ReadoutTrajectory:
-    """Drive the model with the inputs, recording all 4**n Pauli expectations after each step."""
+    """Drive the model with the inputs, recording all 4**n Pauli expectations after each step.
+
+    `inputs` has shape (..., T) and `rho0` (..., d, d); their leading shapes
+    broadcast to the batch shape, and the readout has shape (..., T, 4**n).
+    """
     basis = tuple(qmat.all_pauli_strings(model.n_qubits))
     ops = qmat.pauli_basis_matrices(basis)
     inputs = np.asarray(inputs, dtype=float)
-    values = np.empty((len(inputs), len(basis)))
+    batch = np.broadcast_shapes(inputs.shape[:-1], np.shape(rho0)[:-2])
+    values = np.empty(batch + (inputs.shape[-1], len(basis)))
     rho = rho0
-    for t, u in enumerate(inputs):
+    for t in range(inputs.shape[-1]):
         try:
-            rho = model.step(rho, u)
+            rho = model.step(rho, inputs[..., t])
         except Exception as exc:
             raise RuntimeError(f"reservoir step failed at time index {t}: {exc}") from exc
         row = pauli_expectations(rho, ops)
-        if np.max(np.abs(row)) > 1.0 + 1e-9:
+        if np.abs(row).max() > 1.0 + 1e-9:
             raise RuntimeError(f"readout out of range at time index {t}")
-        values[t] = row
+        values[..., t, :] = row
     return ReadoutTrajectory(basis=basis, values=values)
 
 

@@ -51,6 +51,8 @@ METRICS = (
     "ns_esp_nondamping",
 )
 
+INDICATOR_METRICS = {"esp", "ns_esp", "ns_esp_damping", "ns_esp_nondamping"}
+
 HAMILTONIAN_PRESETS = {
     "H1": {"j_scale": 1.0, "field_width": 0.312, "global_field": 0.013},
     "H2": {"j_scale": 1.0, "field_width": 1.05, "global_field": 0.013},
@@ -117,6 +119,16 @@ class SweepConfig:
             raise ValueError("grid resolutions must be at least 2")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        # refuse up front what would fail at every grid point
+        if INDICATOR_METRICS & set(self.metrics):
+            if self.indicator_states < 2:
+                raise ValueError("indicator_states must be at least 2 (the indicators compare state pairs)")
+            if not 1 <= self.indicator_window <= self.indicator_len:
+                raise ValueError(f"indicator_window {self.indicator_window} must lie between 1 "
+                                 f"and indicator_len {self.indicator_len}")
+        if "mc" in self.metrics and self.mc_washout < self.mc_max_delay:
+            raise ValueError(f"mc_washout {self.mc_washout} must cover the largest delay, "
+                             f"mc_max_delay {self.mc_max_delay}")
 
 
 @dataclass
@@ -175,11 +187,10 @@ def _build_model(cfg: SweepConfig, coord: tuple[float, float]):
     return NsReservoir(NsModelConfig(hamiltonian=ham, axis=AxisConfig(azimuth=azimuth, polar=polar)))
 
 
-def _driven(model, rng: np.random.Generator, length: int, low: float, high: float):
-    """Uniform[low, high] inputs and the readout they drive from a Haar-random state."""
+def _drawn(model, rng: np.random.Generator, length: int, low: float, high: float):
+    """Uniform[low, high] inputs, then the Haar-random state they drive from."""
     u = rng.uniform(low, high, size=length)
-    rho0 = qmat.haar_random_pure_state(model.n_qubits, rng)
-    return u, run_reservoir(model, u, rho0)
+    return u, qmat.haar_random_pure_state(model.n_qubits, rng)
 
 
 def _narma_rnmse(model, cfg: SweepConfig, order: int, rng: np.random.Generator) -> float:
@@ -191,11 +202,13 @@ def _narma_rnmse(model, cfg: SweepConfig, order: int, rng: np.random.Generator) 
     fields of the benchmark.
     """
     split = benchmarks.SplitSpec()
+    draws = [_drawn(model, rng, cfg.narma_len, 0.0, 0.5) for _ in range(cfg.narma_sequences)]
+    inputs, states = map(np.stack, zip(*draws))
+    readouts = run_reservoir(model, inputs, states).values
     scores = []
-    for _ in range(cfg.narma_sequences):
-        u, traj = _driven(model, rng, cfg.narma_len, 0.0, 0.5)
+    for u, features in zip(inputs, readouts):
         target = benchmarks.narma_generate(u, order)
-        fit = benchmarks.train_linear_readout(traj, target, split)
+        fit = benchmarks.train_linear_readout(features, target, split)
         scores.append(benchmarks.rnmse(fit.test_target, fit.predictions))
     return float(np.mean(scores))
 
@@ -229,14 +242,16 @@ def evaluate_point(cfg: SweepConfig, index: int, coord: tuple[float, float]) -> 
         values["narma10"] = _narma_rnmse(model, cfg, 10, streams["narma10"])
 
     if {"mc", "ipc"} & set(cfg.metrics):
-        u, traj = _driven(model, streams["mc"], cfg.mc_len, -1.0, 1.0)
+        u, rho0 = _drawn(model, streams["mc"], cfg.mc_len, -1.0, 1.0)
+        traj = run_reservoir(model, u, rho0)
         if "mc" in cfg.metrics:
             values["mc"] = benchmarks.mc_report(u, traj, cfg.mc_max_delay, cfg.mc_washout).total
         if "ipc" in cfg.metrics:
             ipc_cfg = benchmarks.IpcConfig(budget=cfg.ipc_budget, surrogate_count=cfg.ipc_surrogates)
             values["ipc"] = benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout, streams["ipc"]).total
     if "rank" in cfg.metrics:
-        _, traj = _driven(model, streams["rank"], cfg.rank_len + cfg.rank_washout, -1.0, 1.0)
+        u, rho0 = _drawn(model, streams["rank"], cfg.rank_len + cfg.rank_washout, -1.0, 1.0)
+        traj = run_reservoir(model, u, rho0)
         values["rank"] = float(
             benchmarks.trajectory_rank(traj, cfg.rank_threshold, cfg.rank_washout).raw
         )

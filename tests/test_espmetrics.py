@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,29 @@ def test_indicator_ensemble_pair_count_independence_of_order():
     t2 = em.indicator_ensemble(model, 2, 2, 40, 10, np.random.default_rng(5))
     assert np.array_equal(t1.esp_values, t2.esp_values)
     assert np.array_equal(t1.ns_values, t2.ns_values)
+
+
+@pytest.mark.parametrize("columns", [None, [0, 3, 6, 9, 12]])
+def test_indicator_ensemble_matches_per_trajectory_loop(columns):
+    # the one-trajectory-at-a-time loop the batched ensemble replaced, written out;
+    # with 3 inputs and 2 states, pairing sequences and states the other way round fails
+    model = rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth=1.3, polar=0.9)))
+    n_inputs, n_states, seq_len, w = 3, 2, 40, 6
+    rng = np.random.default_rng(12)
+    input_sets = rng.uniform(-1.0, 1.0, size=(n_inputs, seq_len))
+    states = [qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(n_states)]
+    esp_sum, ns_sum, count = np.zeros(seq_len), np.zeros(seq_len - w + 1), 0
+    for inputs in input_sets:
+        rows = [em._selected(rv.run_reservoir(model, inputs, rho), columns) for rho in states]
+        variances = [em._variance_norms(r, w) for r in rows]
+        for i, j in combinations(range(n_states), 2):
+            esp = em._esp_trace(rows[i], rows[j], qmat.hilbert_schmidt_distance(states[i], states[j]))
+            esp_sum += esp
+            ns_sum += em._ns_trace(esp, variances[i], variances[j])
+            count += 1
+    trace = em.indicator_ensemble(model, n_inputs, n_states, seq_len, w, np.random.default_rng(12), columns)
+    assert np.array_equal(trace.esp_values, esp_sum / count)
+    assert np.array_equal(trace.ns_values, ns_sum / count)
 
 
 def test_subset_indicator_ensemble_rejects_empty_selection():

@@ -94,6 +94,23 @@ def test_permute_qubits_identity():
     assert np.allclose(qmat.permute_qubits(rho, [0, 1, 2]), rho)
 
 
+def test_stack_ops_equal_their_rows():
+    # a (B, d, d) stack goes through the same arithmetic as each matrix alone
+    stack = np.stack([random_density(3) for _ in range(4)])
+    for traced in ([1], [0, 2], [2]):
+        rows = np.stack([qmat.partial_trace(r, traced) for r in stack])
+        assert np.array_equal(qmat.partial_trace(stack, traced), rows)
+    for src in ([2, 0, 1], [1, 0, 2]):
+        rows = np.stack([qmat.permute_qubits(r, src) for r in stack])
+        assert np.array_equal(qmat.permute_qubits(stack, src), rows)
+    small = stack[:, :2, :2]
+    assert np.array_equal(qmat.kron(stack, small), np.stack([np.kron(a, b) for a, b in zip(stack, small)]))
+    assert np.array_equal(qmat.kron(stack[0], small[1]), np.kron(stack[0], small[1]))
+    assert qmat.n_qubits_of(stack) == 3
+    with pytest.raises(ValueError):
+        qmat.n_qubits_of(np.zeros((3, 4, 2)))
+
+
 def test_evolution_unitary_rejects_nonhermitian():
     with pytest.raises(ValueError):
         qmat.evolution_unitary(RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))

@@ -83,6 +83,11 @@ def test_input_unitary_trivial_at_u_one():
 def test_input_unitary_rejects_out_of_range():
     with pytest.raises(ValueError):
         rv.input_unitary(1.2, rv.AxisConfig())
+    # on an array the message names the first offending entry, nan included
+    with pytest.raises(ValueError, match=r"^input 1.5 outside \[-1, 1\]$"):
+        rv.input_unitary(np.array([[0.1, 1.5], [-2.0, 0.0]]), rv.AxisConfig())
+    with pytest.raises(ValueError, match="input nan outside"):
+        rv.input_unitary(np.array([0.1, np.nan]), rv.AxisConfig())
 
 
 def test_encoded_state_expectation_along_z_axis():
@@ -211,6 +216,41 @@ def test_run_reservoir_names_failing_step():
     model = rv.SubsetReservoir(rv.SubsetModelConfig())
     with pytest.raises(RuntimeError, match="time index 2"):
         rv.run_reservoir(model, [0.0, 0.5, 3.0], np.eye(4, dtype=complex) / 4)
+    # in a batch, one bad entry in row 1 names its time index and its value only
+    inputs = np.zeros((3, 4))
+    inputs[1, 2] = 3.0
+    for model in (rv.SubsetReservoir(rv.SubsetModelConfig()), rv.NsReservoir(rv.NsModelConfig())):
+        with pytest.raises(RuntimeError, match=r"time index 2: input 3.0 outside \[-1, 1\]$"):
+            rv.run_reservoir(model, inputs, np.eye(4, dtype=complex) / 4)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth=0.8, polar=1.2))),
+        rv.NsReservoir(
+            rv.NsModelConfig(
+                hamiltonian=rv.SkHamiltonianConfig(n_qubits=3, seed=3),
+                axis=rv.AxisConfig(azimuth=2.1, polar=0.6),
+                reset_subsystem=(0,),  # kept qubits go first, so the factors are permuted back
+            )
+        ),
+        rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=0.3, cnot_exponent=0.7)),
+        rv.DepolarizingReservoir(0.2),
+    ],
+    ids=["ns-2q", "ns-3q-reset0", "subset", "depolarizing"],
+)
+def test_run_reservoir_batch_equals_its_rows(model):
+    rng = np.random.default_rng(21)
+    inputs = rng.uniform(-1, 1, (3, 30))
+    states = np.stack([qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(3)])
+    batch = rv.run_reservoir(model, inputs, states)
+    rows = np.stack([rv.run_reservoir(model, u, rho).values for u, rho in zip(inputs, states)])
+    assert batch.values.shape == (3, 30, 4**model.n_qubits) and len(batch) == 30
+    assert np.array_equal(batch.values, rows)  # bit for bit, not to a tolerance
+    # a batch of states under one shared input sequence broadcasts the same way
+    shared = rv.run_reservoir(model, inputs[0], states)
+    assert np.array_equal(shared.values[2], rv.run_reservoir(model, inputs[0], states[2]).values)
 
 
 def test_pauli_expectations_roundtrip():

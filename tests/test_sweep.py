@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qresp import sweep
+from qresp import benchmarks, qmat, sweep
+from qresp.reservoir import run_reservoir
 
 
 def small_config(tmp_path, **overrides):
@@ -64,6 +65,18 @@ def test_config_validation():
         sweep.SweepConfig(preset="H9")
     with pytest.raises(ValueError):
         sweep.SweepConfig(workers=0)
+    # configs that would fail at every grid point, refused only where a metric reads the field
+    with pytest.raises(ValueError, match="mc_washout 20 .* mc_max_delay 50"):
+        sweep.SweepConfig(metrics=("mc",), mc_washout=20, mc_max_delay=50)
+    sweep.SweepConfig(metrics=("esp",), mc_washout=20, mc_max_delay=50)
+    for metric in ("esp", "ns_esp", "ns_esp_damping", "ns_esp_nondamping"):
+        with pytest.raises(ValueError, match="indicator_states"):
+            sweep.SweepConfig(metrics=(metric,), indicator_states=1)
+        with pytest.raises(ValueError, match="indicator_window 300 .* indicator_len 200"):
+            sweep.SweepConfig(metrics=(metric,), indicator_window=300, indicator_len=200)
+        with pytest.raises(ValueError, match="indicator_window 0"):  # read nan ns_esp at every point
+            sweep.SweepConfig(metrics=(metric,), indicator_window=0)
+    sweep.SweepConfig(metrics=("mc",), indicator_states=1, indicator_window=300)
 
 
 def test_config_takes_json_lists_as_tuples():
@@ -210,6 +223,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                  out_path=str(tmp_path / "x.csv"))
     bad.write_text(json.dumps(dict(small, experiment="classical_reference")))  # removed
     assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
+    # configs that fail at every point are refused before the sweep starts
+    for fields in (
+        dict(metrics=["mc"], mc_len=100, mc_washout=20, mc_max_delay=50),
+        dict(indicator_states=1),
+        dict(indicator_window=30),
+    ):
+        bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"), **fields)))
+        assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
+    assert not (tmp_path / "y.csv").exists()
     # resuming a checkpoint written with another seed
     bad.write_text(json.dumps(small))
     assert sweep.main(["--config", str(bad), "--seed", "1"]) == sweep.EXIT_OK
@@ -246,3 +268,17 @@ def test_evaluate_point_reports_metric_set(tmp_path):
     values = sweep.evaluate_point(cfg, 0, (0.0, 1.2))
     assert set(values) == {"esp", "ns_esp"}
     assert all(np.isfinite(v) or np.isinf(v) for v in values.values())
+
+
+def test_narma_rnmse_matches_sequential_drive_and_fit(tmp_path):
+    # one sequence at a time: draw u, then the initial state, drive, fit
+    cfg = small_config(tmp_path, metrics=("narma2",), narma_len=300, narma_sequences=3)
+    model = sweep._build_model(cfg, (0.7, 1.9))
+    rng = np.random.default_rng(31)
+    scores = []
+    for _ in range(cfg.narma_sequences):
+        u = rng.uniform(0.0, 0.5, size=cfg.narma_len)
+        traj = run_reservoir(model, u, qmat.haar_random_pure_state(model.n_qubits, rng))
+        fit = benchmarks.train_linear_readout(traj, benchmarks.narma_generate(u, 2), benchmarks.SplitSpec())
+        scores.append(benchmarks.rnmse(fit.test_target, fit.predictions))
+    assert sweep._narma_rnmse(model, cfg, 2, np.random.default_rng(31)) == float(np.mean(scores))
