@@ -8,7 +8,10 @@ with v_c the mean-centered target and Q the left singular vectors of the
 mean-centered post-washout features with s_i > 1e-5 s_0 (a 1e-10 eigenvalue
 cut on their covariance).  This equals the squared-correlation form
 cov(v, x)^T pinv(cov(x, x)) cov(v, x) / Var(v); a delay-line reservoir of
-dimension d scores exactly 1 for each delay it stores.
+dimension d scores exactly 1 for each delay it stores.  IPC targets are
+products of normalized Legendre polynomials of delayed inputs, an
+orthonormal basis under Uniform[-1, 1] inputs, so inputs must lie in
+[-1, 1]; every delay a capacity asks for must lie within the washout.
 """
 
 from __future__ import annotations
@@ -204,8 +207,6 @@ class IpcConfig:
 
     budget: tuple[tuple[int, int], ...] = ((1, 300), (2, 100), (3, 30), (4, 10), (5, 10))
     surrogate_count: int = 100
-    input_low: float = -1.0
-    input_high: float = 1.0
 
     def __post_init__(self):
         if not self.budget:
@@ -214,8 +215,6 @@ class IpcConfig:
             raise ValueError("degrees must be >= 1 and delays >= 0")
         if self.surrogate_count < 0:
             raise ValueError("surrogate_count must be nonnegative")
-        if self.input_high <= self.input_low:
-            raise ValueError("empty input support")
 
 
 def normalized_legendre(degree: int, x: np.ndarray) -> np.ndarray:
@@ -223,32 +222,6 @@ def normalized_legendre(degree: int, x: np.ndarray) -> np.ndarray:
     coeffs = np.zeros(degree + 1)
     coeffs[degree] = 1.0
     return np.polynomial.legendre.legval(x, coeffs) * np.sqrt(2 * degree + 1)
-
-
-def ipc_targets(inputs, terms, input_low: float = -1.0, input_high: float = 1.0) -> np.ndarray:
-    """Product of normalized Legendre factors at delayed inputs.
-
-    `terms` is a sequence of (delay, degree) pairs with distinct delays.
-    Inputs are affinely mapped from [input_low, input_high] onto [-1, 1];
-    entries before the largest delay are padded with zeros, matching the
-    washout-discarded region.
-    """
-    u = np.asarray(inputs, dtype=float)
-    scaled = 2.0 * (u - input_low) / (input_high - input_low) - 1.0
-    delays = [k for k, _ in terms]
-    if len(set(delays)) != len(delays):
-        raise ValueError("delays within a product must be distinct")
-    out = np.ones(len(u))
-    for delay, degree in terms:
-        if degree < 1 or delay < 0:
-            raise ValueError(f"invalid term (delay={delay}, degree={degree})")
-        shifted = np.zeros(len(u))
-        if delay == 0:
-            shifted[:] = scaled
-        else:
-            shifted[delay:] = scaled[:-delay]
-        out *= normalized_legendre(degree, shifted)
-    return out
 
 
 def enumerate_degree_terms(degree: int, max_delay: int) -> list[tuple[tuple[int, int], ...]]:
@@ -277,6 +250,13 @@ class IpcResult:
 def ipc_report(inputs, features, cfg: IpcConfig, washout: int, rng: np.random.Generator) -> IpcResult:
     """Capacity per degree/delay product, thresholded by a random shuffle surrogate.
 
+    The target of a product of (delay k, degree d) terms is, at post-washout
+    row t, the product of P_d(u_{washout + t - k}) over its terms, with P_d
+    the normalized Legendre polynomial.  That basis is orthonormal only under
+    Uniform[-1, 1] inputs, so inputs outside [-1, 1] (nan included) raise,
+    and so does a budget delay beyond the washout, whose history is missing.
+    Inputs and feature rows are aligned in time and must be equally many.
+
     Each component is compared against the maximum capacity of its
     time-shuffled target (surrogate_count permutations, drawn once and
     shared across components for determinism); components at or below the
@@ -284,20 +264,28 @@ def ipc_report(inputs, features, cfg: IpcConfig, washout: int, rng: np.random.Ge
     thresholding.
     """
     inputs = np.asarray(inputs, dtype=float)
+    outside = ~(np.abs(inputs) <= 1.0)
+    if outside.any():
+        raise ValueError(f"IPC input {inputs[outside][0]} outside [-1, 1]")
+    if len(inputs) != len(features):
+        raise ValueError(f"{len(inputs)} inputs do not match {len(features)} feature rows")
+    if washout < max(m for _, m in cfg.budget):
+        raise ValueError("washout must cover the largest delay")
     q = _capacity_basis(features, washout)
-    perms = np.empty((cfg.surrogate_count, len(q)), dtype=np.intp)
+    n = len(q)
+    perms = np.empty((cfg.surrogate_count, n), dtype=np.intp)
     for row in perms:
-        row[:] = rng.permutation(len(q))
+        row[:] = rng.permutation(n)
+    table = {d: normalized_legendre(d, inputs) for d in range(1, max(d for d, _ in cfg.budget) + 1)}
 
     components = []
     degree_totals: dict[int, float] = {}
     zeroed = 0
     for degree, max_delay in cfg.budget:
         for terms in enumerate_degree_terms(degree, max_delay):
-            if max(k for k, _ in terms) > washout:
-                continue
-            target_full = ipc_targets(inputs, terms, cfg.input_low, cfg.input_high)
-            target = target_full[washout:]
+            target = np.ones(n)
+            for delay, part in terms:
+                target *= table[part][washout - delay : washout - delay + n]
             value = float(_capacity(q, target))
             if len(perms) and value <= _capacity(q, target, perms).max():
                 value = 0.0

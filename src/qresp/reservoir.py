@@ -264,16 +264,6 @@ def damping_kraus(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return k0, k1
 
 
-def amplitude_damping_qubit0(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Apply amplitude damping to qubit 0, identity on the rest."""
-    n = qmat.n_qubits_of(rho)
-    k0, k1 = damping_kraus(gamma)
-    rest = np.eye(2 ** (n - 1), dtype=complex)
-    a0 = np.kron(k0, rest)
-    a1 = np.kron(k1, rest)
-    return a0 @ rho @ a0.conj().T + a1 @ rho @ a1.conj().T
-
-
 class SubsetReservoir:
     """Two-qubit reservoir: local Haar unitaries, damping on qubit 0, fractional CNOT."""
 
@@ -282,13 +272,15 @@ class SubsetReservoir:
         u0 = qmat.haar_random_unitary(2, np.random.default_rng(config.u0_seed))
         u1 = qmat.haar_random_unitary(2, np.random.default_rng(config.u1_seed))
         self.local_unitary = np.kron(u0, u1)
+        self.damping = tuple(np.kron(k, np.eye(2, dtype=complex)) for k in damping_kraus(config.damping_rate))
         self.entangler = qmat.cnot_power(config.cnot_exponent)
         self.n_qubits = 2
 
     def system_step(self, rho: np.ndarray) -> np.ndarray:
-        """Non-input-driven part: local unitaries, damping, then the entangler."""
+        """Non-input-driven part: local unitaries, damping on qubit 0, then the entangler."""
         rho = self.local_unitary @ rho @ self.local_unitary.conj().T
-        rho = amplitude_damping_qubit0(rho, self.config.damping_rate)
+        a0, a1 = self.damping
+        rho = a0 @ rho @ a0.conj().T + a1 @ rho @ a1.conj().T
         return self.entangler @ rho @ self.entangler.conj().T
 
     def step(self, rho: np.ndarray, u) -> np.ndarray:

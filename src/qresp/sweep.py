@@ -129,6 +129,12 @@ class SweepConfig:
         if "mc" in self.metrics and self.mc_washout < self.mc_max_delay:
             raise ValueError(f"mc_washout {self.mc_washout} must cover the largest delay, "
                              f"mc_max_delay {self.mc_max_delay}")
+        if "ipc" in self.metrics:
+            benchmarks.IpcConfig(budget=self.ipc_budget, surrogate_count=self.ipc_surrogates)
+            max_delay = max(m for _, m in self.ipc_budget)
+            if self.mc_washout < max_delay:
+                raise ValueError(f"mc_washout {self.mc_washout} must cover the largest delay "
+                                 f"in ipc_budget, {max_delay}")
 
 
 @dataclass

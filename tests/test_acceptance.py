@@ -92,6 +92,7 @@ def test_criterion_3_entangling_example():
     assert report(3, ok, f"corners exact={exact} group law dev {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_4_rank_dichotomy():
     t0 = time.monotonic()
     ham = rv.SkHamiltonianConfig(seed=620)
@@ -159,6 +160,7 @@ def test_criterion_4_rank_dichotomy():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_ns_esp_narma2_correspondence():
     t0 = time.monotonic()
     ham = rv.SkHamiltonianConfig(seed=156)
@@ -238,6 +240,7 @@ def test_criterion_7_even_odd_memory_alternation():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_capacity_oracles():
     u = np.random.default_rng(0).uniform(-1, 1, 100000)
     feats = delay_line_features(u, 5)

@@ -103,7 +103,7 @@ def test_memory_function_perfect_recall():
     assert bm.memory_function(u, feats, 4, washout=50) < 1e-3
 
 
-def test_memory_function_is_clamped():
+def test_memory_function_stays_in_unit_interval():
     rng = np.random.default_rng(3)
     u = rng.uniform(-1, 1, 500)
     feats = delay_line_features(u, 2)
@@ -140,28 +140,6 @@ def test_normalized_legendre_orthonormality():
             prod = bm.normalized_legendre(i, x) * bm.normalized_legendre(j, x)
             integral = np.trapezoid(prod, x) / 2
             assert abs(integral - (1.0 if i == j else 0.0)) < 1e-6, (i, j)
-
-
-def test_ipc_targets_zero_pad_and_product():
-    u = np.array([0.5, -0.5, 0.25, 0.75])
-    p1 = bm.normalized_legendre(1, u)
-    single = bm.ipc_targets(u, ((1, 1),))
-    assert np.allclose(single, [0, p1[0], p1[1], p1[2]])
-    pair = bm.ipc_targets(u, ((1, 1), (2, 1)))
-    assert np.allclose(pair[:2], 0)
-    assert np.allclose(pair[2:], p1[1:3] * p1[0:2])
-
-
-def test_ipc_targets_rejects_repeated_delay():
-    with pytest.raises(ValueError):
-        bm.ipc_targets(np.zeros(5), ((1, 1), (1, 2)))
-
-
-def test_ipc_targets_affine_input_mapping():
-    u = np.array([0.0, 0.25, 0.5])
-    a = bm.ipc_targets(u, ((0, 2),), input_low=0.0, input_high=0.5)
-    b = bm.ipc_targets(4 * u - 1, ((0, 2),))
-    assert np.allclose(a, b)
 
 
 def test_enumerate_degree_terms_counts():
@@ -242,7 +220,13 @@ def test_capacities_match_covariance_pinv_form():
         assert [t for t, _ in ipc.components] == terms
         zeroed = 0
         for t, value in ipc.components:
-            v = bm.ipc_targets(u, t)[washout:]
+            # the zero-padded shift-and-product target, post-washout
+            v = np.ones(len(u))
+            for delay, degree in t:
+                shifted = np.zeros(len(u))
+                shifted[delay:] = u[: len(u) - delay]
+                v *= bm.normalized_legendre(degree, shifted)
+            v = v[washout:]
             c = covariance_capacity(feats, v, washout)
             threshold = max((covariance_capacity(feats, v[p], washout) for p in perms), default=-1.0)
             if c <= threshold:
@@ -250,6 +234,35 @@ def test_capacities_match_covariance_pinv_form():
             assert abs(value - c) < 1e-12, t
         assert ipc.threshold_count == zeroed
         assert (zeroed > 0) == (surrogates > 0)
+
+
+def test_ipc_report_refuses_delays_past_washout():
+    rng = np.random.default_rng(0)
+    u = rng.uniform(-1, 1, 400)
+    feats = delay_line_features(u, 60)
+    cfg = bm.IpcConfig(budget=((1, 50),), surrogate_count=0)
+    with pytest.raises(ValueError, match="washout must cover the largest delay"):  # delays 21-50 lack history
+        bm.ipc_report(u, feats, cfg, 20, np.random.default_rng(1))
+    assert len(bm.ipc_report(u, feats, cfg, 50, np.random.default_rng(1)).components) == 51
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan])
+def test_ipc_report_refuses_inputs_outside_legendre_domain(bad):
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((200, 3))
+    u = rng.uniform(-1, 1, 200)
+    u[120] = bad
+    cfg = bm.IpcConfig(budget=((1, 5),), surrogate_count=0)
+    with pytest.raises(ValueError, match=r"input .* outside \[-1, 1\]"):
+        bm.ipc_report(u, feats, cfg, 10, np.random.default_rng(1))
+
+
+def test_ipc_report_refuses_misaligned_inputs():
+    rng = np.random.default_rng(0)
+    u = rng.uniform(-1, 1, 500)
+    cfg = bm.IpcConfig(budget=((1, 5),), surrogate_count=0)
+    with pytest.raises(ValueError, match="500 inputs do not match 400 feature rows"):
+        bm.ipc_report(u, rng.standard_normal((400, 3)), cfg, 10, np.random.default_rng(1))
 
 
 def test_ipc_config_validation():

@@ -157,14 +157,16 @@ def test_damping_kraus_completeness_exact():
 
 def test_amplitude_damping_fixed_point():
     # gamma = 1 sends any qubit-0 marginal to |0><0|
+    a0, a1 = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=1.0)).damping
     rho = qmat.haar_random_pure_state(2, RNG)
-    out = rv.amplitude_damping_qubit0(rho, 1.0)
+    out = a0 @ rho @ a0.conj().T + a1 @ rho @ a1.conj().T
     assert np.allclose(qmat.partial_trace(out, [1]), np.diag([1, 0j]), atol=1e-12)
 
 
 def test_amplitude_damping_identity_at_zero():
+    a0, a1 = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=0.0)).damping
     rho = qmat.haar_random_pure_state(2, RNG)
-    assert np.allclose(rv.amplitude_damping_qubit0(rho, 0.0), rho, atol=1e-14)
+    assert np.allclose(a0 @ rho @ a0.conj().T + a1 @ rho @ a1.conj().T, rho, atol=1e-14)
 
 
 def test_subset_reservoir_matches_manual_composition():
@@ -173,12 +175,13 @@ def test_subset_reservoir_matches_manual_composition():
     rho = qmat.haar_random_pure_state(2, RNG)
     u = 0.1
     manual = model.local_unitary @ rho @ model.local_unitary.conj().T
-    manual = rv.amplitude_damping_qubit0(manual, cfg.damping_rate)
+    a0, a1 = (np.kron(k, np.eye(2, dtype=complex)) for k in rv.damping_kraus(cfg.damping_rate))
+    manual = a0 @ manual @ a0.conj().T + a1 @ manual @ a1.conj().T
     manual = model.entangler @ manual @ model.entangler.conj().T
     r = rv.ry(np.arccos(u))
     u_in = np.kron(r, r)
     manual = u_in @ manual @ u_in.conj().T
-    assert np.allclose(model.step(rho, u), manual, atol=1e-12)
+    assert np.array_equal(model.step(rho, u), manual)
 
 
 def test_subset_config_validation():

@@ -77,6 +77,14 @@ def test_config_validation():
         with pytest.raises(ValueError, match="indicator_window 0"):  # read nan ns_esp at every point
             sweep.SweepConfig(metrics=(metric,), indicator_window=0)
     sweep.SweepConfig(metrics=("mc",), indicator_states=1, indicator_window=300)
+    with pytest.raises(ValueError, match="mc_washout 40 .* ipc_budget, 50"):
+        sweep.SweepConfig(metrics=("ipc",), mc_washout=40, ipc_budget=((1, 50), (2, 20)))
+    for budget in ((), ((0, 5),), ((1, -1),)):
+        with pytest.raises(ValueError, match="budget|degrees"):
+            sweep.SweepConfig(metrics=("ipc",), ipc_budget=budget)
+    with pytest.raises(ValueError, match="surrogate_count"):
+        sweep.SweepConfig(metrics=("ipc",), ipc_surrogates=-1)
+    sweep.SweepConfig(metrics=("mc",), mc_washout=40, mc_max_delay=10, ipc_budget=(), ipc_surrogates=-1)
 
 
 def test_config_takes_json_lists_as_tuples():
@@ -228,6 +236,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         dict(metrics=["mc"], mc_len=100, mc_washout=20, mc_max_delay=50),
         dict(indicator_states=1),
         dict(indicator_window=30),
+        dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1, 50]]),
+        dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[]),
+        dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[0, 5]]),
+        dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1, 5]], ipc_surrogates=-1),
     ):
         bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"), **fields)))
         assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
