@@ -11,7 +11,9 @@ cov(v, x)^T pinv(cov(x, x)) cov(v, x) / Var(v); a delay-line reservoir of
 dimension d scores exactly 1 for each delay it stores.  IPC targets are
 products of normalized Legendre polynomials of delayed inputs, an
 orthonormal basis under Uniform[-1, 1] inputs, so inputs must lie in
-[-1, 1]; every delay a capacity asks for must lie within the washout.
+[-1, 1].  `mc_report` and `ipc_report` check their inputs in one place: the
+inputs must align with the feature rows, one per row, and every delay a
+capacity asks for must lie within the washout.
 """
 
 from __future__ import annotations
@@ -135,13 +137,20 @@ def _svd_basis(x: np.ndarray, rel_cut: float) -> np.ndarray:
     return u[:, s > rel_cut * s[0]]
 
 
-def _capacity_basis(features, washout: int) -> np.ndarray:
-    """Orthonormal basis Q of the mean-centered post-washout features."""
+def _capacity_basis(inputs, features, washout: int, max_delay: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float inputs and an orthonormal basis Q of the mean-centered
+    post-washout features, after checking that the inputs align with the
+    feature rows and that the washout holds the history of every delay."""
+    inputs = np.asarray(inputs, dtype=float)
     x = np.asarray(features, dtype=float)
+    if len(inputs) != len(x):
+        raise ValueError(f"{len(inputs)} inputs do not match {len(x)} feature rows")
     if washout < 0 or washout >= len(x):
         raise ValueError(f"washout {washout} leaves no data in {len(x)} rows")
+    if washout < max_delay:
+        raise ValueError("washout must cover the largest delay")
     x = x[washout:]
-    return _svd_basis(x - x.mean(axis=0), CAPACITY_REL_CUT)
+    return inputs, _svd_basis(x - x.mean(axis=0), CAPACITY_REL_CUT)
 
 
 def _capacity(q: np.ndarray, target: np.ndarray, perms=None):
@@ -156,17 +165,6 @@ def _capacity(q: np.ndarray, target: np.ndarray, perms=None):
     return np.sum((rows @ q) ** 2, axis=-1) / norm2
 
 
-def memory_function(inputs, features, delay: int, washout: int) -> float:
-    """Squared-correlation capacity of reconstructing u_{t-delay} from x_t."""
-    if delay < 0:
-        raise ValueError("delay must be nonnegative")
-    if washout < delay:
-        raise ValueError("washout must cover the delay")
-    q = _capacity_basis(features, washout)
-    inputs = np.asarray(inputs, dtype=float)
-    return float(_capacity(q, inputs[washout - delay : washout - delay + len(q)]))
-
-
 @dataclass
 class McResult:
     memory_functions: np.ndarray  # index = delay, starting at 0
@@ -178,13 +176,15 @@ class McResult:
 
 
 def mc_report(inputs, features, max_delay: int, washout: int) -> McResult:
-    """Memory functions for delays 0..max_delay plus the paper's aggregates."""
+    """Memory functions for delays 0..max_delay plus the paper's aggregates.
+
+    memory_functions[k] is the capacity of reconstructing u_{t-k} from x_t.
+    Inputs and feature rows are aligned in time and must be equally many,
+    and the washout must cover max_delay.
+    """
     if max_delay < 1:
         raise ValueError("max_delay must be at least 1")
-    if washout < max_delay:
-        raise ValueError("washout must cover the largest delay")
-    inputs = np.asarray(inputs, dtype=float)
-    q = _capacity_basis(features, washout)
+    inputs, q = _capacity_basis(inputs, features, washout, max_delay)
     n = len(q)
     caps = np.array([_capacity(q, inputs[washout - k : washout - k + n]) for k in range(max_delay + 1)])
     above = np.nonzero(caps > MAX_LINEAR_DELAY_THRESHOLD)[0]
@@ -267,11 +267,7 @@ def ipc_report(inputs, features, cfg: IpcConfig, washout: int, rng: np.random.Ge
     outside = ~(np.abs(inputs) <= 1.0)
     if outside.any():
         raise ValueError(f"IPC input {inputs[outside][0]} outside [-1, 1]")
-    if len(inputs) != len(features):
-        raise ValueError(f"{len(inputs)} inputs do not match {len(features)} feature rows")
-    if washout < max(m for _, m in cfg.budget):
-        raise ValueError("washout must cover the largest delay")
-    q = _capacity_basis(features, washout)
+    inputs, q = _capacity_basis(inputs, features, washout, max(m for _, m in cfg.budget))
     n = len(q)
     perms = np.empty((cfg.surrogate_count, n), dtype=np.intp)
     for row in perms:
@@ -320,8 +316,11 @@ def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> 
     excited directions as absent. At the default 1e-6, 4 of the 20 generic
     axes of acceptance criterion 4 read rank 7 or 11, although their exact
     rank is 12. For the exact rank, pass `max(rows, cols) * eps`, the
-    `numpy.linalg.matrix_rank` tolerance.
+    `numpy.linalg.matrix_rank` tolerance.  A threshold outside [0, 1)
+    raises: below 0 every column counts, and at 1 or above none does.
     """
+    if not 0.0 <= rel_threshold < 1.0:
+        raise ValueError(f"rel_threshold {rel_threshold} outside [0, 1)")
     x = np.asarray(features, dtype=float)[washout:]
     if len(x) == 0:
         raise ValueError("no rows after washout")

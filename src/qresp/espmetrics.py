@@ -1,6 +1,7 @@
 """ESP diagnostics: windowed variance, ESP / non-stationary ESP indicators,
 and their subset variants, with ensemble averaging over input sequences and
-Haar-random initial-state pairs.
+Haar-random initial-state pairs.  A subset indicator is the same indicator on
+selected readout columns: every indicator here takes them as `columns`.
 
 Time indices are 0-based row indices into a readout trajectory; a window of
 size w is available from index w-1 onward, and the reference window for the
@@ -121,6 +122,8 @@ def indicator_ensemble(
 ) -> IndicatorTrace:
     """Average indicators over input sequences x unordered initial-state pairs.
 
+    `columns`, a nonempty sequence of readout column indices, restricts the
+    indicators to those columns (the subset indicators); None keeps all.
     Inputs are Uniform[-1, 1]; initial states are Haar-random pure states.
     The initial-state distance is the Hilbert-Schmidt distance between the
     density matrices.  With the paper defaults (4 sequences, 3 states) this
@@ -131,6 +134,8 @@ def indicator_ensemble(
     """
     if n_states < 2:
         raise ValueError("need at least two initial states")
+    if columns is not None and len(columns) == 0:
+        raise ValueError("subset selection must be nonempty")
     input_sets = rng.uniform(-1.0, 1.0, size=(n_inputs, seq_len))
     states = np.stack([qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(n_states)])
 
@@ -155,18 +160,6 @@ def indicator_ensemble(
         ns_values=ns_sum / count,
         window=w,
     )
-
-
-def subset_indicator_ensemble(model, selection, *args, **kwargs) -> IndicatorTrace:
-    """indicator_ensemble restricted to selected readout columns.
-
-    `selection` is a nonempty sequence of column indices into the readout
-    basis (or None for all columns, in which case this reduces to
-    indicator_ensemble exactly).
-    """
-    if selection is not None and len(selection) == 0:
-        raise ValueError("subset selection must be nonempty")
-    return indicator_ensemble(model, *args, columns=selection, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ Two quantum models are provided:
 Every ``step``, and ``run_reservoir``, also acts on a stack of density
 matrices, shape (..., d, d), driven by inputs of the stack's leading shape:
 each trajectory of a stack goes through the numpy calls a single one does.
+``run_reservoir`` returns the readout as a plain float array, one column per
+Pauli string of ``qmat.all_pauli_strings``.
 
 ``run_classical_reference`` runs contracting tanh echo-state networks
 with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t),
@@ -311,42 +313,24 @@ class DepolarizingReservoir:
 # ---------------------------------------------------------------------------
 # readout
 
-@dataclass
-class ReadoutTrajectory:
-    """Time-major Pauli expectations: values[..., t, k] = tr(P_k rho_{t+1}).
-
-    Leading axes, if any, index the trajectories of a batch.
-    """
-
-    basis: tuple[str, ...]
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        """The number of time steps."""
-        return self.values.shape[-2]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The readout matrix, so np.asarray accepts a trajectory or a plain array alike."""
-        return np.array(self.values, dtype=dtype, copy=copy)
-
-
 def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarray:
     """Real expectation values tr(P rho), shape (..., B), for a stacked (B, d, d)
     operator array and a state or (..., d, d) stack of states."""
     return np.einsum("bij,...ji->...b", basis_matrices, rho).real
 
 
-def run_reservoir(model, inputs, rho0: np.ndarray) -> ReadoutTrajectory:
+def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
     """Drive the model with the inputs, recording all 4**n Pauli expectations after each step.
 
     `inputs` has shape (..., T) and `rho0` (..., d, d); their leading shapes
-    broadcast to the batch shape, and the readout has shape (..., T, 4**n).
+    broadcast to the batch shape.  The readout is a float array of shape
+    (..., T, 4**n), time-major: entry [..., t, k] is tr(P_k rho_{t+1}), with
+    P_k the k-th string of `qmat.all_pauli_strings(n)` ("I...I" first).
     """
-    basis = tuple(qmat.all_pauli_strings(model.n_qubits))
-    ops = qmat.pauli_basis_matrices(basis)
+    ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(model.n_qubits))
     inputs = np.asarray(inputs, dtype=float)
     batch = np.broadcast_shapes(inputs.shape[:-1], np.shape(rho0)[:-2])
-    values = np.empty(batch + (inputs.shape[-1], len(basis)))
+    values = np.empty(batch + (inputs.shape[-1], len(ops)))
     rho = rho0
     for t in range(inputs.shape[-1]):
         try:
@@ -357,7 +341,7 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> ReadoutTrajectory:
         if np.abs(row).max() > 1.0 + 1e-9:
             raise RuntimeError(f"readout out of range at time index {t}")
         values[..., t, :] = row
-    return ReadoutTrajectory(basis=basis, values=values)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,8 @@ METRICS = (
     "ns_esp_nondamping",
 )
 
-INDICATOR_METRICS = {"esp", "ns_esp", "ns_esp_damping", "ns_esp_nondamping"}
+NS_METRICS = {"ns_esp", "ns_esp_damping", "ns_esp_nondamping"}
+INDICATOR_METRICS = {"esp"} | NS_METRICS
 
 HAMILTONIAN_PRESETS = {
     "H1": {"j_scale": 1.0, "field_width": 0.312, "global_field": 0.013},
@@ -121,11 +122,23 @@ class SweepConfig:
             raise ValueError("workers must be at least 1")
         # refuse up front what would fail at every grid point
         if INDICATOR_METRICS & set(self.metrics):
+            if self.indicator_inputs < 1:
+                raise ValueError(f"indicator_inputs {self.indicator_inputs} must be at least 1")
             if self.indicator_states < 2:
                 raise ValueError("indicator_states must be at least 2 (the indicators compare state pairs)")
             if not 1 <= self.indicator_window <= self.indicator_len:
                 raise ValueError(f"indicator_window {self.indicator_window} must lie between 1 "
                                  f"and indicator_len {self.indicator_len}")
+            if self.indicator_window == 1 and NS_METRICS & set(self.metrics):
+                raise ValueError("indicator_window 1 has zero variance in every window, "
+                                 "so the NS indicators read inf; use at least 2")
+        if {"narma2", "narma10"} & set(self.metrics) and self.narma_sequences < 1:
+            raise ValueError(f"narma_sequences {self.narma_sequences} must be at least 1")
+        if "rank" in self.metrics:
+            if self.rank_len < 1:
+                raise ValueError(f"rank_len {self.rank_len} must be at least 1")
+            if not 0.0 <= self.rank_threshold < 1.0:
+                raise ValueError(f"rank_threshold {self.rank_threshold} outside [0, 1)")
         if "mc" in self.metrics and self.mc_washout < self.mc_max_delay:
             raise ValueError(f"mc_washout {self.mc_washout} must cover the largest delay, "
                              f"mc_max_delay {self.mc_max_delay}")
@@ -210,7 +223,7 @@ def _narma_rnmse(model, cfg: SweepConfig, order: int, rng: np.random.Generator) 
     split = benchmarks.SplitSpec()
     draws = [_drawn(model, rng, cfg.narma_len, 0.0, 0.5) for _ in range(cfg.narma_sequences)]
     inputs, states = map(np.stack, zip(*draws))
-    readouts = run_reservoir(model, inputs, states).values
+    readouts = run_reservoir(model, inputs, states)
     scores = []
     for u, features in zip(inputs, readouts):
         target = benchmarks.narma_generate(u, order)
@@ -240,7 +253,7 @@ def evaluate_point(cfg: SweepConfig, index: int, coord: tuple[float, float]) -> 
     ):
         if name in cfg.metrics:
             selection = selector(qmat.all_pauli_strings(model.n_qubits))
-            trace = espmetrics.subset_indicator_ensemble(model, selection, *ensemble, streams[name])
+            trace = espmetrics.indicator_ensemble(model, *ensemble, streams[name], columns=selection)
             values[name] = trace.final_ns
     if "narma2" in cfg.metrics:
         values["narma2"] = _narma_rnmse(model, cfg, 2, streams["narma2"])

@@ -122,9 +122,9 @@ def test_criterion_4_rank_dichotomy():
         ).T
         v = u[washout:]
         coeffs = np.stack([np.ones_like(v), v, np.sqrt(1 - v**2)], axis=1)
-        prev = traj.values[washout - 1 : -1, kept]
+        prev = traj[washout - 1 : -1, kept]
         f = (prev[:, :, None] * coeffs[:, None, :]).reshape(len(v), -1)
-        x = traj.values[washout:]
+        x = traj[washout:]
         residual = np.max(np.abs(f @ m.T - x))
         expected = bm.trajectory_rank(f, rel_threshold=max(f.shape) * eps).raw
         rank = bm.trajectory_rank(x, rel_threshold=max(x.shape) * eps).raw
@@ -179,7 +179,7 @@ def test_criterion_5_ns_esp_narma2_correspondence():
             )
             ns_field.append(min(trace.final_ns, 1e6))  # cap sentinel for ranking
             traj = rv.run_reservoir(model, u_enc, MIXED2)
-            fit = bm.train_linear_readout(traj.values, target, split)
+            fit = bm.train_linear_readout(traj, target, split)
             err_field.append(bm.rnmse(fit.test_target, fit.predictions))
     ns_field = np.array(ns_field).reshape(6, 12)
     err_field = np.array(err_field).reshape(6, 12)
@@ -205,11 +205,11 @@ def test_criterion_6_subset_esp_structure():
         for p in (0.0, 0.5, 1.0):
             model = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=gamma, cnot_exponent=p))
             args = dict(n_inputs=2, n_states=2, seq_len=200, w=10)
-            damp_ns[gamma, p] = em.subset_indicator_ensemble(
-                model, damp, rng=np.random.default_rng(3), **args
+            damp_ns[gamma, p] = em.indicator_ensemble(
+                model, rng=np.random.default_rng(3), columns=damp, **args
             ).final_ns
-            nond_ns[gamma, p] = em.subset_indicator_ensemble(
-                model, nond, rng=np.random.default_rng(3), **args
+            nond_ns[gamma, p] = em.indicator_ensemble(
+                model, rng=np.random.default_rng(3), columns=nond, **args
             ).final_ns
     damped_ok = all(v < 1e-2 for (g, _), v in damp_ns.items() if g >= 0.5)
     undamped_ok = all(v > 0.1 for (g, _), v in damp_ns.items() if g == 0.0)
@@ -229,7 +229,7 @@ def test_criterion_7_even_odd_memory_alternation():
     u = np.random.default_rng(17).uniform(-1, 1, 100000)
     traj = rv.run_reservoir(model, u, MIXED2)
     cols = em.damping_subsystem_selection(qmat.all_pauli_strings(2))
-    rep = bm.mc_report(u, traj.values[:, cols], max_delay=10, washout=1000)
+    rep = bm.mc_report(u, traj[:, cols], max_delay=10, washout=1000)
     caps = rep.memory_functions
     even_excl0 = rep.even_sum - caps[0]
     ok = caps[1] > 2 * caps[2] and rep.odd_sum > even_excl0
@@ -265,7 +265,7 @@ def test_criterion_8_capacity_oracles():
     qmodel = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=0.2, cnot_exponent=1.0))
     qu = np.random.default_rng(17).uniform(-1, 1, 100000)
     qtraj = rv.run_reservoir(qmodel, qu, MIXED2)
-    tested.append(saturation(qu, qtraj.values, 1000))
+    tested.append(saturation(qu, qtraj, 1000))
     sat_ok = all(total <= rank + 0.1 for total, rank in tested)
 
     ok = line_ok and total_ok and delay_ok and equiv_ok and sat_ok

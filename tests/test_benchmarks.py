@@ -98,17 +98,17 @@ def test_memory_function_perfect_recall():
     rng = np.random.default_rng(2)
     u = rng.uniform(-1, 1, 20000)
     feats = delay_line_features(u, 3)
-    assert abs(bm.memory_function(u, feats, 1, washout=50) - 1.0) < 1e-10
-    assert abs(bm.memory_function(u, feats, 3, washout=50) - 1.0) < 1e-10
-    assert bm.memory_function(u, feats, 4, washout=50) < 1e-3
+    caps = bm.mc_report(u, feats, max_delay=4, washout=50).memory_functions
+    assert abs(caps[1] - 1.0) < 1e-10
+    assert abs(caps[3] - 1.0) < 1e-10
+    assert caps[4] < 1e-3
 
 
 def test_memory_function_stays_in_unit_interval():
     rng = np.random.default_rng(3)
     u = rng.uniform(-1, 1, 500)
     feats = delay_line_features(u, 2)
-    for k in range(4):
-        c = bm.memory_function(u, feats, k, washout=20)
+    for c in bm.mc_report(u, feats, max_delay=3, washout=20).memory_functions:
         assert -1e-12 <= c <= 1 + 1e-6
 
 
@@ -203,8 +203,6 @@ def test_capacities_match_covariance_pinv_form():
     n = len(u) - washout
     delayed = [u[washout - k : washout - k + n] for k in range(7)]
     expected = [covariance_capacity(feats, v, washout) for v in delayed]
-    for k in (0, 2, 5):
-        assert abs(bm.memory_function(u, feats, k, washout) - expected[k]) < 1e-12
     rep = bm.mc_report(u, feats, max_delay=6, washout=washout)
     assert np.max(np.abs(rep.memory_functions - expected)) < 1e-12
 
@@ -257,12 +255,21 @@ def test_ipc_report_refuses_inputs_outside_legendre_domain(bad):
         bm.ipc_report(u, feats, cfg, 10, np.random.default_rng(1))
 
 
-def test_ipc_report_refuses_misaligned_inputs():
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda u, feats: bm.mc_report(u, feats, max_delay=5, washout=10),
+        lambda u, feats: bm.ipc_report(
+            u, feats, bm.IpcConfig(budget=((1, 5),), surrogate_count=0), 10, np.random.default_rng(1)
+        ),
+    ],
+    ids=["mc_report", "ipc_report"],
+)
+def test_ipc_report_refuses_misaligned_inputs(report):
     rng = np.random.default_rng(0)
     u = rng.uniform(-1, 1, 500)
-    cfg = bm.IpcConfig(budget=((1, 5),), surrogate_count=0)
     with pytest.raises(ValueError, match="500 inputs do not match 400 feature rows"):
-        bm.ipc_report(u, rng.standard_normal((400, 3)), cfg, 10, np.random.default_rng(1))
+        report(u, rng.standard_normal((400, 3)))
 
 
 def test_ipc_config_validation():
@@ -301,3 +308,10 @@ def test_trajectory_rank_washout_drops_transient():
     rows[:10, 1] = np.linspace(1, 0, 10)  # transient confined to the washout
     assert bm.trajectory_rank(rows, washout=10).raw == 1
     assert bm.trajectory_rank(rows, washout=0).raw == 2
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 1.0, np.nan])
+def test_trajectory_rank_refuses_threshold_outside_unit_interval(threshold):
+    # at -1 every column would count, at 1 none would
+    with pytest.raises(ValueError, match=r"rel_threshold .* outside \[0, 1\)"):
+        bm.trajectory_rank(np.eye(4), rel_threshold=threshold)

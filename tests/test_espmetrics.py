@@ -148,16 +148,9 @@ def test_indicator_ensemble_matches_per_trajectory_loop(columns):
 def test_subset_indicator_ensemble_rejects_empty_selection():
     model = rv.SubsetReservoir(rv.SubsetModelConfig())
     with pytest.raises(ValueError):
-        em.subset_indicator_ensemble(
-            model, [], n_inputs=1, n_states=2, seq_len=30, w=5, rng=np.random.default_rng(0)
+        em.indicator_ensemble(
+            model, n_inputs=1, n_states=2, seq_len=30, w=5, rng=np.random.default_rng(0), columns=[]
         )
-
-
-def test_subset_indicator_none_selection_matches_full():
-    model = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=0.4))
-    full = em.indicator_ensemble(model, 1, 2, 40, 10, np.random.default_rng(6))
-    sub = em.subset_indicator_ensemble(model, None, 1, 2, 40, 10, np.random.default_rng(6))
-    assert np.array_equal(full.esp_values, sub.esp_values)
 
 
 def test_subsystem_selections():

@@ -205,14 +205,12 @@ def test_depolarizing_reservoir_contracts_to_identity():
 # trajectories and readout
 
 
-def test_run_reservoir_shapes_and_basis():
+def test_run_reservoir_shapes():
     model = rv.NsReservoir(rv.NsModelConfig(hamiltonian=rv.SkHamiltonianConfig(seed=1)))
     inputs = RNG.uniform(-1, 1, 12)
     traj = rv.run_reservoir(model, inputs, np.eye(4, dtype=complex) / 4)
-    assert traj.values.shape == (12, 16)
-    assert traj.basis[0] == "II"
-    assert np.allclose(traj.values[:, 0], 1.0, atol=1e-10)  # identity expectation
-    assert len(traj) == 12
+    assert traj.shape == (12, 16)
+    assert np.allclose(traj[:, 0], 1.0, atol=1e-10)  # identity expectation
 
 
 def test_run_reservoir_names_failing_step():
@@ -248,12 +246,12 @@ def test_run_reservoir_batch_equals_its_rows(model):
     inputs = rng.uniform(-1, 1, (3, 30))
     states = np.stack([qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(3)])
     batch = rv.run_reservoir(model, inputs, states)
-    rows = np.stack([rv.run_reservoir(model, u, rho).values for u, rho in zip(inputs, states)])
-    assert batch.values.shape == (3, 30, 4**model.n_qubits) and len(batch) == 30
-    assert np.array_equal(batch.values, rows)  # bit for bit, not to a tolerance
+    rows = np.stack([rv.run_reservoir(model, u, rho) for u, rho in zip(inputs, states)])
+    assert batch.shape == (3, 30, 4**model.n_qubits)
+    assert np.array_equal(batch, rows)  # bit for bit, not to a tolerance
     # a batch of states under one shared input sequence broadcasts the same way
     shared = rv.run_reservoir(model, inputs[0], states)
-    assert np.array_equal(shared.values[2], rv.run_reservoir(model, inputs[0], states[2]).values)
+    assert np.array_equal(shared[2], rv.run_reservoir(model, inputs[0], states[2]))
 
 
 def test_pauli_expectations_roundtrip():

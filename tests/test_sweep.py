@@ -77,6 +77,25 @@ def test_config_validation():
         with pytest.raises(ValueError, match="indicator_window 0"):  # read nan ns_esp at every point
             sweep.SweepConfig(metrics=(metric,), indicator_window=0)
     sweep.SweepConfig(metrics=("mc",), indicator_states=1, indicator_window=300)
+    for metric in ("esp", "ns_esp", "ns_esp_damping", "ns_esp_nondamping"):
+        with pytest.raises(ValueError, match="indicator_inputs 0"):  # an empty batch fails every point
+            sweep.SweepConfig(metrics=(metric,), indicator_inputs=0)
+    for metric in ("ns_esp", "ns_esp_damping", "ns_esp_nondamping"):
+        with pytest.raises(ValueError, match="indicator_window 1"):  # reads inf ns_esp at every point
+            sweep.SweepConfig(metrics=(metric,), indicator_window=1)
+    sweep.SweepConfig(metrics=("esp",), indicator_window=1)  # esp reads no windowed variance
+    sweep.SweepConfig(metrics=("mc",), indicator_inputs=0)
+    for metric in ("narma2", "narma10"):
+        with pytest.raises(ValueError, match="narma_sequences 0"):
+            sweep.SweepConfig(metrics=(metric,), narma_sequences=0)
+    sweep.SweepConfig(metrics=("esp",), narma_sequences=0)
+    with pytest.raises(ValueError, match="rank_len 0"):
+        sweep.SweepConfig(metrics=("rank",), rank_len=0)
+    for threshold in (-1.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="rank_threshold .* outside"):
+            sweep.SweepConfig(metrics=("rank",), rank_threshold=threshold)
+    sweep.SweepConfig(metrics=("rank",), rank_threshold=0.0)
+    sweep.SweepConfig(metrics=("esp",), rank_len=0, rank_threshold=1.0)
     with pytest.raises(ValueError, match="mc_washout 40 .* ipc_budget, 50"):
         sweep.SweepConfig(metrics=("ipc",), mc_washout=40, ipc_budget=((1, 50), (2, 20)))
     for budget in ((), ((0, 5),), ((1, -1),)):
@@ -240,6 +259,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[]),
         dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[0, 5]]),
         dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1, 5]], ipc_surrogates=-1),
+        dict(metrics=["ns_esp"], indicator_window=1),
+        dict(indicator_inputs=0),
+        dict(metrics=["narma2"], narma_len=100, narma_sequences=0),
+        dict(metrics=["rank"], rank_len=0, rank_washout=20),
+        dict(metrics=["rank"], rank_len=50, rank_washout=20, rank_threshold=-1.0),
+        dict(metrics=["rank"], rank_len=50, rank_washout=20, rank_threshold=1.0),
     ):
         bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"), **fields)))
         assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
