@@ -13,7 +13,8 @@ products of normalized Legendre polynomials of delayed inputs, an
 orthonormal basis under Uniform[-1, 1] inputs, so inputs must lie in
 [-1, 1].  `mc_report` and `ipc_report` check their inputs in one place: the
 inputs must align with the feature rows, one per row, and every delay a
-capacity asks for must lie within the washout.
+capacity asks for must lie within the washout.  Both evaluate their targets
+in column blocks of CAPACITY_BLOCK_BYTES, one GEMM against Q per block.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 NARMA_DIVERGENCE_LIMIT = 1e3
 MAX_LINEAR_DELAY_THRESHOLD = 1e-4
 CAPACITY_REL_CUT = 1e-5
+CAPACITY_BLOCK_BYTES = 1 << 18  # targets stacked per GEMM, which bounds the capacity code's extra memory
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +155,47 @@ def _capacity_basis(inputs, features, washout: int, max_delay: int) -> tuple[np.
     return inputs, _svd_basis(x - x.mean(axis=0), CAPACITY_REL_CUT)
 
 
-def _capacity(q: np.ndarray, target: np.ndarray, perms=None):
-    """||Q^T v_c||^2 / ||v_c||^2 for the centered target v_c, or, given an
-    (S, n) array of permutations, for each row order v_c[perms[s]] (the
-    shuffle surrogates).  A constant target has capacity 0."""
-    vc = target - target.mean()
-    norm2 = vc @ vc
-    rows = vc if perms is None else vc[perms]
-    if norm2 == 0.0:
-        return np.zeros(rows.shape[:-1])
-    return np.sum((rows @ q) ** 2, axis=-1) / norm2
+def _capacity(q: np.ndarray, vc: np.ndarray, norm2: np.ndarray) -> np.ndarray:
+    """||Q^T v||^2 / ||v||^2 for each column v of the (n, m) centered targets
+    vc, whose squared norms are norm2: one GEMM against Q.  A constant target
+    (norm2 0) has capacity 0."""
+    caps = np.sum((vc.T @ q) ** 2, axis=-1)
+    return np.divide(caps, norm2, out=np.zeros_like(caps), where=norm2 != 0.0)
+
+
+def _capacities(q: np.ndarray, table: dict, terms: list, washout: int, perms) -> tuple[np.ndarray, ...]:
+    """Capacities of the targets of `terms`, zeroed where a shuffle surrogate
+    (a row order in `perms`) reaches them, and the mask of zeroed ones.
+
+    The target of a term, a tuple of (delay k, degree d) factors, is at row t
+    the product of table[d][washout + t - k].  Targets go through the GEMMs
+    CAPACITY_BLOCK_BYTES at a time, and each surrogate is tried only on the
+    targets no earlier one has reached.
+    """
+    n = len(q)
+    values, zeroed = np.empty(len(terms)), np.ones(len(terms), dtype=bool)
+    cols = max(1, CAPACITY_BLOCK_BYTES // (8 * n))
+    for start in range(0, len(terms), cols):
+        chunk = terms[start : start + cols]
+        block = np.ones((len(chunk), n))
+        for target, term in zip(block, chunk):
+            for delay, part in term:
+                target *= table[part][washout - delay : washout - delay + n]
+        vc = np.subtract(block.T, block.mean(axis=1), order="C")  # one centered target per column
+        del block  # so that the surrogates' gathers do not sit beside it
+        norm2 = np.einsum("ij,ij->j", vc, vc)
+        value = _capacity(q, vc, norm2)
+        alive = np.arange(len(value))
+        for perm in perms:
+            below = _capacity(q, vc.take(perm, axis=0), norm2[alive]) < value[alive]
+            if not below.all():
+                alive, vc = alive[below], vc.compress(below, axis=1)
+                if not len(alive):
+                    break
+        values[start : start + len(value)] = value
+        zeroed[start + alive] = False  # every target when there are no surrogates
+    values[zeroed] = 0.0
+    return values, zeroed
 
 
 @dataclass
@@ -185,8 +218,7 @@ def mc_report(inputs, features, max_delay: int, washout: int) -> McResult:
     if max_delay < 1:
         raise ValueError("max_delay must be at least 1")
     inputs, q = _capacity_basis(inputs, features, washout, max_delay)
-    n = len(q)
-    caps = np.array([_capacity(q, inputs[washout - k : washout - k + n]) for k in range(max_delay + 1)])
+    caps, _ = _capacities(q, {1: inputs}, [((k, 1),) for k in range(max_delay + 1)], washout, perms=())
     above = np.nonzero(caps > MAX_LINEAR_DELAY_THRESHOLD)[0]
     return McResult(
         memory_functions=caps,
@@ -274,25 +306,19 @@ def ipc_report(inputs, features, cfg: IpcConfig, washout: int, rng: np.random.Ge
         row[:] = rng.permutation(n)
     table = {d: normalized_legendre(d, inputs) for d in range(1, max(d for d, _ in cfg.budget) + 1)}
 
+    terms = [(d, t) for d, max_delay in cfg.budget for t in enumerate_degree_terms(d, max_delay)]
+    values, zeroed = _capacities(q, table, [t for _, t in terms], washout, perms)
+
     components = []
     degree_totals: dict[int, float] = {}
-    zeroed = 0
-    for degree, max_delay in cfg.budget:
-        for terms in enumerate_degree_terms(degree, max_delay):
-            target = np.ones(n)
-            for delay, part in terms:
-                target *= table[part][washout - delay : washout - delay + n]
-            value = float(_capacity(q, target))
-            if len(perms) and value <= _capacity(q, target, perms).max():
-                value = 0.0
-                zeroed += 1
-            components.append((terms, value))
-            degree_totals[degree] = degree_totals.get(degree, 0.0) + value
+    for (degree, t), value in zip(terms, values.tolist()):
+        components.append((t, value))
+        degree_totals[degree] = degree_totals.get(degree, 0.0) + value
     return IpcResult(
         components=components,
         degree_totals=degree_totals,
         total=float(sum(degree_totals.values())),
-        threshold_count=zeroed,
+        threshold_count=int(zeroed.sum()),
     )
 
 
@@ -317,10 +343,13 @@ def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> 
     axes of acceptance criterion 4 read rank 7 or 11, although their exact
     rank is 12. For the exact rank, pass `max(rows, cols) * eps`, the
     `numpy.linalg.matrix_rank` tolerance.  A threshold outside [0, 1)
-    raises: below 0 every column counts, and at 1 or above none does.
+    raises: below 0 every column counts, and at 1 or above none does.  So
+    does a negative washout, which would keep only the last rows.
     """
     if not 0.0 <= rel_threshold < 1.0:
         raise ValueError(f"rel_threshold {rel_threshold} outside [0, 1)")
+    if washout < 0:
+        raise ValueError(f"washout {washout} must be nonnegative")
     x = np.asarray(features, dtype=float)[washout:]
     if len(x) == 0:
         raise ValueError("no rows after washout")

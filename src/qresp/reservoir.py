@@ -13,7 +13,9 @@ Every ``step``, and ``run_reservoir``, also acts on a stack of density
 matrices, shape (..., d, d), driven by inputs of the stack's leading shape:
 each trajectory of a stack goes through the numpy calls a single one does.
 ``run_reservoir`` returns the readout as a plain float array, one column per
-Pauli string of ``qmat.all_pauli_strings``.
+Pauli string of ``qmat.all_pauli_strings``.  On ``SubsetReservoir`` it
+iterates the real 16x16 transfer map of ``SubsetReservoir.transfer`` on that
+Pauli vector; ``step`` stays the definition it agrees with to rounding.
 
 ``run_classical_reference`` runs contracting tanh echo-state networks
 with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t),
@@ -277,6 +279,14 @@ class SubsetReservoir:
         self.damping = tuple(np.kron(k, np.eye(2, dtype=complex)) for k in damping_kraus(config.damping_rate))
         self.entangler = qmat.cnot_power(config.cnot_exponent)
         self.n_qubits = 2
+        # the Pauli transfer matrix S[j, k] = tr(P_j system_step(P_k)) / 4, and R_Y(arccos u)'s
+        # R(u) = sum_i c_i R_i in I, X, Y, Z order, with c = (1, u, sqrt(1 - u^2))
+        ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(2))
+        system = pauli_expectations(self.system_step(ops), ops).T / 4
+        r_parts = np.array([np.diag([1.0, 0, 1, 0]), np.diag([0.0, 1, 0, 1]), np.zeros((4, 4))])
+        r_parts[2, 1, 3], r_parts[2, 3, 1] = 1.0, -1.0
+        terms = [np.kron(a, b) @ system for a in r_parts for b in r_parts]
+        self.transfer_terms = np.reshape(terms, (9, 256))
 
     def system_step(self, rho: np.ndarray) -> np.ndarray:
         """Non-input-driven part: local unitaries, damping on qubit 0, then the entangler."""
@@ -291,6 +301,14 @@ class SubsetReservoir:
         r = ry(np.arccos(u))
         u_in = qmat.kron(r, r)
         return u_in @ rho @ u_in.conj().swapaxes(-1, -2)
+
+    def transfer(self, u) -> np.ndarray:
+        """The real maps T(u) = (R(u) (x) R(u)) S = sum_ij c_i c_j (R_i (x) R_j) S, shape (..., 16, 16):
+        T(u) tr(P_k rho) is the readout of `step(rho, u)` to rounding.  Inputs are not checked."""
+        u = np.asarray(u, dtype=float)
+        c = np.stack([np.ones_like(u), u, np.sqrt(1.0 - u * u)], axis=-1)
+        cc = (c[..., :, None] * c[..., None, :]).reshape(-1, 9)
+        return (cc @ self.transfer_terms).reshape(u.shape + (16, 16))
 
 
 class DepolarizingReservoir:
@@ -319,6 +337,9 @@ def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarra
     return np.einsum("bij,...ji->...b", basis_matrices, rho).real
 
 
+TRANSFER_BLOCK = 64  # steps whose transfer maps are built at once, so memory does not grow with T
+
+
 def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
     """Drive the model with the inputs, recording all 4**n Pauli expectations after each step.
 
@@ -326,21 +347,42 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
     broadcast to the batch shape.  The readout is a float array of shape
     (..., T, 4**n), time-major: entry [..., t, k] is tr(P_k rho_{t+1}), with
     P_k the k-th string of `qmat.all_pauli_strings(n)` ("I...I" first).
+
+    The first time index with an input outside [-1, 1], or a readout outside
+    it by more than 1e-9, raises.  A model with a `transfer` method
+    (``SubsetReservoir``) iterates x_{t+1} = T(u_t) x_t from x_0 = tr(P_k rho0),
+    which agrees with `step` to rounding; each trajectory runs its own loop,
+    so a batch equals its rows bit for bit.
     """
-    ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(model.n_qubits))
     inputs = np.asarray(inputs, dtype=float)
+    outside = ~(np.abs(inputs) <= 1.0)
+    if outside.any():
+        t = np.nonzero(outside)[-1].min()
+        raise RuntimeError(f"reservoir step failed at time index {t}: "
+                           f"input {inputs[..., t][outside[..., t]][0]} outside [-1, 1]")
+    ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(model.n_qubits))
     batch = np.broadcast_shapes(inputs.shape[:-1], np.shape(rho0)[:-2])
     values = np.empty(batch + (inputs.shape[-1], len(ops)))
-    rho = rho0
-    for t in range(inputs.shape[-1]):
-        try:
-            rho = model.step(rho, inputs[..., t])
-        except Exception as exc:
-            raise RuntimeError(f"reservoir step failed at time index {t}: {exc}") from exc
-        row = pauli_expectations(rho, ops)
-        if np.abs(row).max() > 1.0 + 1e-9:
-            raise RuntimeError(f"readout out of range at time index {t}")
-        values[..., t, :] = row
+    if hasattr(model, "transfer"):
+        drive = np.broadcast_to(inputs, values.shape[:-1])
+        x0 = np.broadcast_to(pauli_expectations(rho0, ops), batch + (len(ops),))
+        for b in np.ndindex(batch):
+            x = x0[b]
+            for start in range(0, inputs.shape[-1], TRANSFER_BLOCK):
+                steps = slice(start, start + TRANSFER_BLOCK)
+                for m, row in zip(model.transfer(drive[b][steps]), values[b][steps]):
+                    x = np.matmul(m, x, out=row)
+    else:
+        rho = rho0
+        for t in range(inputs.shape[-1]):
+            try:
+                rho = model.step(rho, inputs[..., t])
+            except Exception as exc:
+                raise RuntimeError(f"reservoir step failed at time index {t}: {exc}") from exc
+            values[..., t, :] = pauli_expectations(rho, ops)
+    over = np.maximum(values.max(axis=-1), -values.min(axis=-1)) > 1.0 + 1e-9
+    if over.any():
+        raise RuntimeError(f"readout out of range at time index {np.nonzero(over)[-1].min()}")
     return values
 
 

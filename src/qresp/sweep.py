@@ -132,13 +132,24 @@ class SweepConfig:
             if self.indicator_window == 1 and NS_METRICS & set(self.metrics):
                 raise ValueError("indicator_window 1 has zero variance in every window, "
                                  "so the NS indicators read inf; use at least 2")
-        if {"narma2", "narma10"} & set(self.metrics) and self.narma_sequences < 1:
-            raise ValueError(f"narma_sequences {self.narma_sequences} must be at least 1")
+        orders = [order for order in (2, 10) if f"narma{order}" in self.metrics]
+        if orders:
+            if self.narma_sequences < 1:
+                raise ValueError(f"narma_sequences {self.narma_sequences} must be at least 1")
+            if self.narma_len <= max(orders):
+                raise ValueError(f"narma_len {self.narma_len} must exceed the NARMA order {max(orders)}")
+            _, test_start = benchmarks.SplitSpec().boundaries(self.narma_len)
+            if self.narma_len - test_start < 2:  # the RNMSE of one test row is undefined
+                raise ValueError(f"narma_len {self.narma_len} leaves one test row; RNMSE needs two")
         if "rank" in self.metrics:
             if self.rank_len < 1:
                 raise ValueError(f"rank_len {self.rank_len} must be at least 1")
+            if self.rank_washout < 0:
+                raise ValueError(f"rank_washout {self.rank_washout} must be nonnegative")
             if not 0.0 <= self.rank_threshold < 1.0:
                 raise ValueError(f"rank_threshold {self.rank_threshold} outside [0, 1)")
+        if {"mc", "ipc"} & set(self.metrics) and self.mc_len <= self.mc_washout:
+            raise ValueError(f"mc_len {self.mc_len} must exceed mc_washout {self.mc_washout}")
         if "mc" in self.metrics and self.mc_washout < self.mc_max_delay:
             raise ValueError(f"mc_washout {self.mc_washout} must cover the largest delay, "
                              f"mc_max_delay {self.mc_max_delay}")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qresp import benchmarks as bm
+from qresp import reservoir as rv
 
 
 def delay_line_features(inputs, taps):
@@ -234,6 +235,83 @@ def test_capacities_match_covariance_pinv_form():
         assert (zeroed > 0) == (surrogates > 0)
 
 
+def per_target_ipc(inputs, features, cfg, washout, rng):
+    """Reference for ipc_report: one target at a time, zeroed when the largest of
+    all its surrogates, taken in one GEMM, reaches it.  Returns the thresholded
+    components and the zeroed count."""
+    x = np.asarray(features, dtype=float)[washout:]
+    q = bm._svd_basis(x - x.mean(axis=0), bm.CAPACITY_REL_CUT)
+    n = len(q)
+    perms = np.empty((cfg.surrogate_count, n), dtype=np.intp)
+    for row in perms:
+        row[:] = rng.permutation(n)
+
+    def capacity(target, perms=None):
+        vc = target - target.mean()
+        norm2 = vc @ vc
+        rows = vc if perms is None else vc[perms]
+        if norm2 == 0.0:
+            return np.zeros(rows.shape[:-1])
+        return np.sum((rows @ q) ** 2, axis=-1) / norm2
+
+    components, zeroed = [], 0
+    for degree, max_delay in cfg.budget:
+        for terms in bm.enumerate_degree_terms(degree, max_delay):
+            target = np.ones(n)
+            for delay, part in terms:
+                target *= bm.normalized_legendre(part, inputs)[washout - delay : washout - delay + n]
+            value = float(capacity(target))
+            if len(perms) and value <= capacity(target, perms).max():
+                value, zeroed = 0.0, zeroed + 1
+            components.append(value)
+    return np.array(components), zeroed
+
+
+def subset_case(surrogates):
+    # a damping/entangling trajectory at n = 4000 with the sweep-default budget
+    model = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=0.5, cnot_exponent=0.5))
+    u = np.random.default_rng(3).uniform(-1, 1, 5000)
+    feats = rv.run_reservoir(model, u, np.eye(4, dtype=complex) / 4)
+    return u, feats, bm.IpcConfig(budget=((1, 50), (2, 20), (3, 10)), surrogate_count=surrogates), 1000
+
+
+def delay_line_case():
+    # n so large that one target fills a block
+    washout = 10
+    u = np.random.default_rng(4).uniform(-1, 1, bm.CAPACITY_BLOCK_BYTES // 8 + 1 + washout)
+    assert bm.CAPACITY_BLOCK_BYTES // (8 * (len(u) - washout)) == 0
+    return u, delay_line_features(u, 3), bm.IpcConfig(budget=((1, 6), (2, 3)), surrogate_count=5), washout
+
+
+def constant_target_case():
+    # inputs 0 after the washout: the delay-0 target is P1(0) = 0 at every row, the others are not constant
+    washout = 20
+    rng = np.random.default_rng(6)
+    u = np.concatenate([rng.uniform(-1, 1, washout), np.zeros(600)])
+    return u, rng.standard_normal((len(u), 4)), bm.IpcConfig(budget=((1, 8),), surrogate_count=10), washout
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: subset_case(20),
+        lambda: subset_case(0),
+        delay_line_case,
+        constant_target_case,
+    ],
+    ids=["subset-n4000", "subset-no-surrogates", "delay-line-one-target-per-block", "constant-target"],
+)
+def test_ipc_report_matches_per_target_loop(case):
+    u, feats, cfg, washout = case()
+    expected, zeroed = per_target_ipc(u, feats, cfg, washout, np.random.default_rng(9))
+    ipc = bm.ipc_report(u, feats, cfg, washout, np.random.default_rng(9))
+    values = np.array([v for _, v in ipc.components])
+    assert np.array_equal(values == 0.0, expected == 0.0)  # the same components zeroed
+    assert ipc.threshold_count == zeroed
+    assert np.abs(values - expected).max() <= 1e-12
+    assert (zeroed > 0) == (cfg.surrogate_count > 0)
+
+
 def test_ipc_report_refuses_delays_past_washout():
     rng = np.random.default_rng(0)
     u = rng.uniform(-1, 1, 400)
@@ -308,6 +386,8 @@ def test_trajectory_rank_washout_drops_transient():
     rows[:10, 1] = np.linspace(1, 0, 10)  # transient confined to the washout
     assert bm.trajectory_rank(rows, washout=10).raw == 1
     assert bm.trajectory_rank(rows, washout=0).raw == 2
+    with pytest.raises(ValueError, match="washout -95 must be nonnegative"):  # not the last 95 rows
+        bm.trajectory_rank(rows, washout=-95)
 
 
 @pytest.mark.parametrize("threshold", [-1.0, 1.0, np.nan])

@@ -254,6 +254,27 @@ def test_run_reservoir_batch_equals_its_rows(model):
     assert np.array_equal(shared[2], rv.run_reservoir(model, inputs[0], states[2]))
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_subset_transfer_matches_density_matrix_step(gamma, p):
+    model = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=gamma, cnot_exponent=p))
+    ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(2))
+    rng = np.random.default_rng(13)
+    mixed = 0.3 * qmat.haar_random_pure_state(2, rng) + 0.7 * qmat.haar_random_pure_state(2, rng)
+    for rho in (qmat.haar_random_pure_state(2, rng), mixed):
+        for u in (-1.0, 0.0, 1.0, *rng.uniform(-1, 1, 4)):
+            one_step = model.transfer(u) @ rv.pauli_expectations(rho, ops)
+            assert np.abs(one_step - rv.pauli_expectations(model.step(rho, u), ops)).max() <= 1e-12
+    # 2000 steps of run_reservoir against a loop over the density-matrix step
+    inputs = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, 1997)])
+    rho = rho0 = qmat.haar_random_pure_state(2, rng)
+    expected = []
+    for u in inputs:
+        rho = model.step(rho, u)
+        expected.append(rv.pauli_expectations(rho, ops))
+    assert np.abs(rv.run_reservoir(model, inputs, rho0) - expected).max() <= 1e-11
+
+
 def test_pauli_expectations_roundtrip():
     basis = qmat.all_pauli_strings(2)
     rho = qmat.haar_random_pure_state(2, RNG)

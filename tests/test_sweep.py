@@ -104,6 +104,22 @@ def test_config_validation():
     with pytest.raises(ValueError, match="surrogate_count"):
         sweep.SweepConfig(metrics=("ipc",), ipc_surrogates=-1)
     sweep.SweepConfig(metrics=("mc",), mc_washout=40, mc_max_delay=10, ipc_budget=(), ipc_surrogates=-1)
+    # sequence lengths that leave a metric no data at any point
+    for metric in ("mc", "ipc"):
+        with pytest.raises(ValueError, match="mc_len 100 must exceed mc_washout 200"):
+            sweep.SweepConfig(metrics=(metric,), mc_len=100, mc_washout=200)
+    sweep.SweepConfig(metrics=("rank",), mc_len=100, mc_washout=200)
+    with pytest.raises(ValueError, match="narma_len 2 must exceed the NARMA order 2"):
+        sweep.SweepConfig(metrics=("narma2",), narma_len=2)
+    with pytest.raises(ValueError, match="narma_len 10 must exceed the NARMA order 10"):
+        sweep.SweepConfig(metrics=("narma2", "narma10"), narma_len=10)
+    with pytest.raises(ValueError, match="narma_len 10 leaves one test row"):  # its RNMSE divides by 0
+        sweep.SweepConfig(metrics=("narma2",), narma_len=10)
+    sweep.SweepConfig(metrics=("narma2",), narma_len=11)
+    sweep.SweepConfig(metrics=("esp",), narma_len=2)
+    with pytest.raises(ValueError, match="rank_washout -48 must be nonnegative"):
+        sweep.SweepConfig(metrics=("rank",), rank_len=50, rank_washout=-48)
+    sweep.SweepConfig(metrics=("esp",), rank_washout=-48)
 
 
 def test_config_takes_json_lists_as_tuples():
@@ -265,6 +281,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         dict(metrics=["rank"], rank_len=0, rank_washout=20),
         dict(metrics=["rank"], rank_len=50, rank_washout=20, rank_threshold=-1.0),
         dict(metrics=["rank"], rank_len=50, rank_washout=20, rank_threshold=1.0),
+        dict(metrics=["rank"], rank_len=50, rank_washout=-48),
+        dict(metrics=["mc"], mc_len=100, mc_washout=200, mc_max_delay=50),
+        dict(metrics=["ipc"], mc_len=100, mc_washout=200, ipc_budget=[[1, 5]]),
+        dict(metrics=["narma2"], narma_len=2),
+        dict(metrics=["narma10"], narma_len=10),
+        dict(metrics=["narma2"], narma_len=10),
     ):
         bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"), **fields)))
         assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
