@@ -15,7 +15,10 @@ each trajectory of a stack goes through the numpy calls a single one does.
 ``run_reservoir`` returns the readout as a plain float array, one column per
 Pauli string of ``qmat.all_pauli_strings``.  On ``SubsetReservoir`` it
 iterates the real 16x16 transfer map of ``SubsetReservoir.transfer`` on that
-Pauli vector; ``step`` stays the definition it agrees with to rounding.
+Pauli vector; ``step`` stays the definition it agrees with to rounding.  On
+the other models, whose ``step(rho, u)`` is ``evolve(rho, encode(u))``, it
+steps density matrices in blocks of 64 steps, with one ``encode`` and one
+readout per block, bit for bit with a loop over ``step``.
 
 ``run_classical_reference`` runs contracting tanh echo-state networks
 with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t),
@@ -223,37 +226,33 @@ def encoded_state(u, axis: AxisConfig, n_qubits: int = 1) -> np.ndarray:
     return sigma
 
 
-def reset_encode(rho: np.ndarray, u, axis: AxisConfig, reset_subsystem=(1,)) -> np.ndarray:
-    """Replace the reset subsystem by the input-encoded pure state.
-
-    tr_A(rho) (x) sigma_A, with tensor factors permuted back to the
-    original qubit ordering.
-    """
-    n = qmat.n_qubits_of(rho)
-    a = tuple(sorted(set(reset_subsystem)))
-    rest = qmat.partial_trace(rho, a, n)
-    sigma = encoded_state(u, axis, n_qubits=len(a))
-    combined = qmat.kron(rest, sigma)
-    kept = [q for q in range(n) if q not in a]
-    current_order = kept + list(a)  # qubit labels of combined, left to right
-    source = [current_order.index(q) for q in range(n)]
-    if source == list(range(n)):
-        return combined
-    return qmat.permute_qubits(combined, source)
-
-
 class NsReservoir:
-    """SK-Hamiltonian reservoir with reset-input encoding; exp(-iH) compiled once."""
+    """SK-Hamiltonian reservoir with reset-input encoding; exp(-iH) compiled once.
+    `step(rho, u)` is `evolve(rho, encode(u))`, and `encode` depends on the input alone."""
 
     def __init__(self, config: NsModelConfig):
         self.config = config
         self.hamiltonian = build_sk_hamiltonian(config.hamiltonian)
         self.unitary = qmat.evolution_unitary(self.hamiltonian)
-        self.n_qubits = config.hamiltonian.n_qubits
+        self.unitary_dag = self.unitary.conj().T
+        self.n_qubits = n = config.hamiltonian.n_qubits
+        order = [q for q in range(n) if q not in config.reset_subsystem] + list(config.reset_subsystem)
+        self.source = None if order == sorted(order) else [order.index(q) for q in range(n)]
+
+    def encode(self, u) -> np.ndarray:
+        """The reset states sigma_A(u), shape np.shape(u) + (2**|A|, 2**|A|)."""
+        return encoded_state(u, self.config.axis, n_qubits=len(self.config.reset_subsystem))
+
+    def reset_encode(self, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """tr_A(rho) (x) sigma_A: the reset subsystem A replaced by sigma_A, in the original qubit order."""
+        combined = qmat.kron(qmat.partial_trace(rho, self.config.reset_subsystem, self.n_qubits), sigma)
+        return combined if self.source is None else qmat.permute_qubits(combined, self.source)
+
+    def evolve(self, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        return self.unitary @ self.reset_encode(rho, sigma) @ self.unitary_dag
 
     def step(self, rho: np.ndarray, u) -> np.ndarray:
-        encoded = reset_encode(rho, u, self.config.axis, self.config.reset_subsystem)
-        return self.unitary @ encoded @ self.unitary.conj().T
+        return self.evolve(rho, self.encode(u))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +322,15 @@ class DepolarizingReservoir:
         self.unitary = qmat.haar_random_unitary(dim, np.random.default_rng(seed))
         self.mixed = np.eye(dim, dtype=complex) / dim
 
-    def step(self, rho: np.ndarray, u) -> np.ndarray:
+    def encode(self, u):  # the channel does not depend on its input
+        return u
+
+    def evolve(self, rho: np.ndarray, _) -> np.ndarray:
         rotated = self.unitary @ rho @ self.unitary.conj().T
         return (1 - self.epsilon) * rotated + self.epsilon * self.mixed
+
+    def step(self, rho: np.ndarray, u) -> np.ndarray:
+        return self.evolve(rho, self.encode(u))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +342,7 @@ def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarra
     return np.einsum("bij,...ji->...b", basis_matrices, rho).real
 
 
-TRANSFER_BLOCK = 64  # steps whose transfer maps are built at once, so memory does not grow with T
+TRANSFER_BLOCK = 64  # steps whose maps, or states, are built at once, so memory does not grow with T
 
 
 def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
@@ -352,7 +357,8 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
     it by more than 1e-9, raises.  A model with a `transfer` method
     (``SubsetReservoir``) iterates x_{t+1} = T(u_t) x_t from x_0 = tr(P_k rho0),
     which agrees with `step` to rounding; each trajectory runs its own loop,
-    so a batch equals its rows bit for bit.
+    so a batch equals its rows bit for bit.  Any other model runs
+    `evolve(rho, encode(u))`, which is its `step` bit for bit.
     """
     inputs = np.asarray(inputs, dtype=float)
     outside = ~(np.abs(inputs) <= 1.0)
@@ -362,6 +368,8 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
                            f"input {inputs[..., t][outside[..., t]][0]} outside [-1, 1]")
     ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(model.n_qubits))
     batch = np.broadcast_shapes(inputs.shape[:-1], np.shape(rho0)[:-2])
+    # Before the readout: freed, the buffer leaves a hole the next call reuses, not a heap top malloc trims.
+    states = None if hasattr(model, "transfer") else np.empty((TRANSFER_BLOCK,) + batch + np.shape(rho0)[-2:], dtype=complex)
     values = np.empty(batch + (inputs.shape[-1], len(ops)))
     if hasattr(model, "transfer"):
         drive = np.broadcast_to(inputs, values.shape[:-1])
@@ -374,12 +382,12 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
                     x = np.matmul(m, x, out=row)
     else:
         rho = rho0
-        for t in range(inputs.shape[-1]):
-            try:
-                rho = model.step(rho, inputs[..., t])
-            except Exception as exc:
-                raise RuntimeError(f"reservoir step failed at time index {t}: {exc}") from exc
-            values[..., t, :] = pauli_expectations(rho, ops)
+        for start in range(0, inputs.shape[-1], TRANSFER_BLOCK):
+            encoded = model.encode(np.moveaxis(inputs[..., start:start + TRANSFER_BLOCK], -1, 0))
+            for t, sigma in enumerate(encoded):
+                rho = states[t] = model.evolve(rho, sigma)
+            values[..., start:start + len(encoded), :] = np.moveaxis(
+                pauli_expectations(states[:len(encoded)], ops), 0, -2)
     over = np.maximum(values.max(axis=-1), -values.min(axis=-1)) > 1.0 + 1e-9
     if over.any():
         raise RuntimeError(f"readout out of range at time index {np.nonzero(over)[-1].min()}")

@@ -150,6 +150,8 @@ class SweepConfig:
                 raise ValueError(f"rank_threshold {self.rank_threshold} outside [0, 1)")
         if {"mc", "ipc"} & set(self.metrics) and self.mc_len <= self.mc_washout:
             raise ValueError(f"mc_len {self.mc_len} must exceed mc_washout {self.mc_washout}")
+        if "mc" in self.metrics and self.mc_max_delay < 1:
+            raise ValueError(f"mc_max_delay {self.mc_max_delay} must be at least 1")
         if "mc" in self.metrics and self.mc_washout < self.mc_max_delay:
             raise ValueError(f"mc_washout {self.mc_washout} must cover the largest delay, "
                              f"mc_max_delay {self.mc_max_delay}")

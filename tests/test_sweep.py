@@ -69,6 +69,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="mc_washout 20 .* mc_max_delay 50"):
         sweep.SweepConfig(metrics=("mc",), mc_washout=20, mc_max_delay=50)
     sweep.SweepConfig(metrics=("esp",), mc_washout=20, mc_max_delay=50)
+    for delay in (0, -3):  # mc_report refuses a largest delay below 1 at every point
+        with pytest.raises(ValueError, match=f"mc_max_delay {delay} must be at least 1"):
+            sweep.SweepConfig(metrics=("mc",), mc_len=300, mc_washout=100, mc_max_delay=delay)
+    sweep.SweepConfig(metrics=("ipc",), mc_len=300, mc_washout=100, mc_max_delay=0)
     for metric in ("esp", "ns_esp", "ns_esp_damping", "ns_esp_nondamping"):
         with pytest.raises(ValueError, match="indicator_states"):
             sweep.SweepConfig(metrics=(metric,), indicator_states=1)
@@ -269,6 +273,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     # configs that fail at every point are refused before the sweep starts
     for fields in (
         dict(metrics=["mc"], mc_len=100, mc_washout=20, mc_max_delay=50),
+        dict(metrics=["mc"], mc_len=300, mc_washout=100, mc_max_delay=0),
         dict(indicator_states=1),
         dict(indicator_window=30),
         dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1, 50]]),
