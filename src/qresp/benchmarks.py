@@ -37,23 +37,27 @@ def narma_generate(inputs, order: int) -> np.ndarray:
 
     y_t = 0.3 y_{t-1} + 0.05 y_{t-1} sum_{i=t-k}^{t-1} y_i
         + 1.5 u_{t-1} u_{t-k} + 0.1
-    with y and u treated as zero at negative indices.  Raises on the known
-    NARMA blow-up (|y| beyond 1e3), naming the step.
+    with y and u treated as zero at negative indices; a stack of sequences,
+    shape (..., T), gives their targets, each bit for bit as alone.  Raises on
+    the known NARMA blow-up (|y| beyond 1e3), naming the first step of any.
     """
     if order < 2:
         raise ValueError("NARMA order must be at least 2")
     u = np.asarray(inputs, dtype=float)
-    if len(u) <= order:
+    if u.shape[-1] <= order:
         raise ValueError("input sequence must be longer than the order")
     if u.min() < 0.0 or u.max() > 0.5:
         raise ValueError("NARMA inputs must lie in [0, 0.5]")
-    y = np.zeros(len(u))
-    for t in range(1, len(u)):
-        recent = y[max(0, t - order) : t].sum()
-        drive = u[t - 1] * u[t - order] if t >= order else 0.0
-        y[t] = 0.3 * y[t - 1] + 0.05 * y[t - 1] * recent + 1.5 * drive + 0.1
-        if abs(y[t]) > NARMA_DIVERGENCE_LIMIT:
-            raise ValueError(f"NARMA{order} diverged at step {t}")
+    drive = np.zeros(u.shape)
+    drive[..., order:] = 1.5 * (u[..., order - 1 : -1] * u[..., : -order])
+    y = np.zeros(u.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # past a blow-up, which raises below
+        for t in range(1, u.shape[-1]):
+            last = y[..., t - 1]
+            y[..., t] = 0.3 * last + 0.05 * last * y[..., max(0, t - order) : t].sum(axis=-1) + drive[..., t] + 0.1
+    diverged = np.nonzero(np.abs(y) > NARMA_DIVERGENCE_LIMIT)[-1]
+    if len(diverged):
+        raise ValueError(f"NARMA{order} diverged at step {diverged.min()}")
     return y
 
 

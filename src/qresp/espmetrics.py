@@ -33,15 +33,18 @@ def _check_window(t: int, w: int, length: int) -> None:
         raise ValueError(f"index {t} lacks a full window of {w} in history of {length}")
 
 
-def _variance_norms(values: np.ndarray, w: int) -> np.ndarray:
+def _variance_norms(values: np.ndarray, w: int, out: np.ndarray | None = None) -> np.ndarray:
     """Norm of the per-column population variance of each window of w rows.
 
     Entry i covers rows i..i+w-1, i.e. the window ending at index i+w-1;
     each window is reduced in two passes (mean, then squared deviations).
+    `out`, a float buffer laid out as the window view of `values` (see
+    `ensemble_trace`), takes the deviations, so that one buffer serves many
+    trajectories.
     """
     blocks = np.lib.stride_tricks.sliding_window_view(values, w, axis=0)
-    mean = blocks.mean(axis=-1, keepdims=True)
-    return np.linalg.norm(np.mean((blocks - mean) ** 2, axis=-1), axis=1)
+    deviations = np.subtract(blocks, blocks.mean(axis=-1, keepdims=True), out=out)
+    return np.linalg.norm(np.mean(np.square(deviations, out=deviations), axis=-1), axis=1)
 
 
 def _esp_trace(a: np.ndarray, b: np.ndarray, s0_dist: float) -> np.ndarray:
@@ -111,48 +114,41 @@ class IndicatorTrace:
         return float(self.ns_values[-1])
 
 
-def indicator_ensemble(
-    model,
-    n_inputs: int,
-    n_states: int,
-    seq_len: int,
-    w: int,
-    rng: np.random.Generator,
-    columns=None,
-) -> IndicatorTrace:
-    """Average indicators over input sequences x unordered initial-state pairs.
-
-    `columns`, a nonempty sequence of readout column indices, restricts the
-    indicators to those columns (the subset indicators); None keeps all.
-    Inputs are Uniform[-1, 1]; initial states are Haar-random pure states.
-    The initial-state distance is the Hilbert-Schmidt distance between the
-    density matrices.  With the paper defaults (4 sequences, 3 states) this
-    averages 12 indicator traces.  Every (sequence, state) trajectory runs
-    in one batch, sequence-major.  The variance kernel runs per trajectory:
-    on the whole batch its (sequence, state, time, column, window)
-    temporaries would raise the peak memory of a sweep by about a tenth.
-    """
+def ensemble_draws(n_qubits: int, n_inputs: int, n_states: int, seq_len: int, rng: np.random.Generator):
+    """Inputs (rows, seq_len) and initial states (rows, d, d) of an indicator ensemble: each of n_inputs
+    Uniform[-1, 1] sequences with each of n_states Haar-random pure states, sequence-major."""
     if n_states < 2:
         raise ValueError("need at least two initial states")
+    input_sets = rng.uniform(-1.0, 1.0, size=(n_inputs, seq_len))
+    states = np.stack([qmat.haar_random_pure_state(n_qubits, rng) for _ in range(n_states)])
+    return np.repeat(input_sets, n_states, axis=0), np.tile(states, (n_inputs, 1, 1))
+
+
+def ensemble_trace(traj, rho0: np.ndarray, n_states: int, w: int, columns=None) -> IndicatorTrace:
+    """The indicators averaged over input sequences x unordered initial-state pairs, from the
+    readout `traj` of the trajectories `ensemble_draws` gave, with their initial states `rho0`.
+    The initial-state distance is the Hilbert-Schmidt distance between the density matrices.
+    The variance kernel runs per trajectory, into one buffer: on the whole batch its temporaries
+    would raise the peak memory of a sweep by about a tenth."""
     if columns is not None and len(columns) == 0:
         raise ValueError("subset selection must be nonempty")
-    input_sets = rng.uniform(-1.0, 1.0, size=(n_inputs, seq_len))
-    states = np.stack([qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(n_states)])
-
-    traj = run_reservoir(model, np.repeat(input_sets, n_states, axis=0), np.tile(states, (n_inputs, 1, 1)))
-    rows = _selected(traj, columns).reshape(n_inputs, n_states, seq_len, -1)
-    variances = [[_variance_norms(r, w) for r in row] for row in rows]
+    seq_len = traj.shape[-2]
+    rows = _selected(traj, columns).reshape(len(rho0) // n_states, n_states, seq_len, -1)
+    # laid out as numpy lays out `blocks - mean`, so that each window's mean sums in the same order
+    buffer = np.empty_like(np.lib.stride_tricks.sliding_window_view(rows[0, 0], w, axis=0))
+    variances = [[_variance_norms(r, w, buffer) for r in row] for row in rows]
+    states = rho0[:n_states]
     pairs = list(combinations(range(n_states), 2))
     s0_dists = [qmat.hilbert_schmidt_distance(states[i], states[j]) for i, j in pairs]
 
     esp_sum = np.zeros(seq_len)
     ns_sum = np.zeros(seq_len - w + 1)
     count = 0
-    for k in range(n_inputs):
+    for row, variance in zip(rows, variances):
         for (i, j), s0_dist in zip(pairs, s0_dists):
-            esp = _esp_trace(rows[k, i], rows[k, j], s0_dist)
+            esp = _esp_trace(row[i], row[j], s0_dist)
             esp_sum += esp
-            ns_sum += _ns_trace(esp, variances[k][i], variances[k][j])
+            ns_sum += _ns_trace(esp, variance[i], variance[j])
             count += 1
     return IndicatorTrace(
         times=np.arange(seq_len),
@@ -160,6 +156,19 @@ def indicator_ensemble(
         ns_values=ns_sum / count,
         window=w,
     )
+
+
+def indicator_ensemble(model, n_inputs: int, n_states: int, seq_len: int, w: int, rng: np.random.Generator,
+                       columns=None) -> IndicatorTrace:
+    """Average indicators over input sequences x unordered initial-state pairs.
+
+    `columns`, a nonempty sequence of readout column indices, restricts the
+    indicators to those columns (the subset indicators); None keeps all.
+    With the paper defaults (4 sequences, 3 states) this averages 12
+    indicator traces, all run in one batch.
+    """
+    inputs, rho0 = ensemble_draws(model.n_qubits, n_inputs, n_states, seq_len, rng)
+    return ensemble_trace(run_reservoir(model, inputs, rho0), rho0, n_states, w, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,12 @@ def check_density_matrix(
         raise ValueError(f"minimum eigenvalue {lo:.3e} below floor {eig_floor:.0e}")
 
 
-def partial_trace(rho: np.ndarray, traced_qubits, n_qubits: int | None = None) -> np.ndarray:
+def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:
     """Trace out the given qubits, returning the state of the remaining ones.
 
     Tracing out every qubit is rejected (the result would be a scalar).
     """
-    if n_qubits is None:
-        n_qubits = n_qubits_of(rho)
+    n_qubits = n_qubits_of(rho)
     traced = sorted(set(int(q) for q in traced_qubits))
     if any(q < 0 or q >= n_qubits for q in traced):
         raise ValueError(f"qubit indices {traced} out of range for {n_qubits} qubits")

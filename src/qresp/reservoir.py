@@ -236,17 +236,30 @@ class NsReservoir:
         self.unitary = qmat.evolution_unitary(self.hamiltonian)
         self.unitary_dag = self.unitary.conj().T
         self.n_qubits = n = config.hamiltonian.n_qubits
-        order = [q for q in range(n) if q not in config.reset_subsystem] + list(config.reset_subsystem)
-        self.source = None if order == sorted(order) else [order.index(q) for q in range(n)]
+        reset = config.reset_subsystem
+        # tr_A sums the two slices diagonal in each qubit q of A, lowest first, r of A already gone
+        self.traced_shapes = [(2 ** (q - r), 2, 2 ** (n - 1 - q)) * 2 for r, q in enumerate(reset)]
+        self.kept_dim = 2 ** (n - len(reset))
+        order = [q for q in range(n) if q not in reset] + list(reset)
+        source = [order.index(q) for q in range(n)]  # the factors of tr_A(rho) (x) sigma_A in qubit order
+        self.axes = None if source == sorted(source) else (0, *(1 + p for p in source), *(1 + n + p for p in source))
 
     def encode(self, u) -> np.ndarray:
         """The reset states sigma_A(u), shape np.shape(u) + (2**|A|, 2**|A|)."""
         return encoded_state(u, self.config.axis, n_qubits=len(self.config.reset_subsystem))
 
     def reset_encode(self, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """tr_A(rho) (x) sigma_A: the reset subsystem A replaced by sigma_A, in the original qubit order."""
-        combined = qmat.kron(qmat.partial_trace(rho, self.config.reset_subsystem, self.n_qubits), sigma)
-        return combined if self.source is None else qmat.permute_qubits(combined, self.source)
+        """tr_A(rho) (x) sigma_A: the reset subsystem A replaced by sigma_A, in the original qubit order,
+        by the sums and products of `qmat.partial_trace`, `kron` and `permute_qubits` without their checks."""
+        lead = rho.shape[:-2]
+        for shape in self.traced_shapes:
+            t = rho.reshape(lead + shape)
+            rho = t[..., 0, :, :, 0, :] + t[..., 1, :, :, 1, :]
+        combined = rho.reshape(lead + (self.kept_dim,) * 2)[..., :, None, :, None] * sigma[..., None, :, None, :]
+        lead = combined.shape[:-4]
+        if self.axes is not None:
+            combined = combined.reshape((-1,) + (2,) * (2 * self.n_qubits)).transpose(self.axes)
+        return combined.reshape(lead + self.unitary.shape)
 
     def evolve(self, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return self.unitary @ self.reset_encode(rho, sigma) @ self.unitary_dag

@@ -7,11 +7,12 @@ Two grid experiments are provided:
 * ``subset_gamma_p_grid`` -- sweep the (damping rate, CNOT exponent) plane
   of the two-qubit damping/entangling reservoir.
 
-Each grid point is evaluated independently with a seed derived from
-(master seed, point index), so results are deterministic for a given config
-regardless of worker count, and adding points never reshuffles existing
-ones.  Completed points are appended to a JSONL checkpoint next to the
-output file, after a first line holding the config; re-running the same
+Each grid point draws from a seed derived from (master seed, point index),
+and the pool runs chunks of consecutive axis-grid points, sized by the config
+alone, each point bit for bit as alone: results are deterministic for a given
+config regardless of worker count, and adding points never reshuffles
+existing ones.  Completed points are appended to a JSONL checkpoint next to
+the output file, after a first line holding the config; re-running the same
 config resumes from it.
 """
 
@@ -23,6 +24,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .reservoir import (
     SkHamiltonianConfig,
     SubsetModelConfig,
     SubsetReservoir,
+    TRANSFER_BLOCK,
     run_reservoir,
 )
 
@@ -53,6 +56,7 @@ METRICS = (
 
 NS_METRICS = {"ns_esp", "ns_esp_damping", "ns_esp_nondamping"}
 INDICATOR_METRICS = {"esp"} | NS_METRICS
+CHUNK_BYTES = 11 << 17  # per axis-grid task (see chunk_size): two points of the default indicator ensemble
 
 HAMILTONIAN_PRESETS = {
     "H1": {"j_scale": 1.0, "field_width": 0.312, "global_field": 0.013},
@@ -225,77 +229,86 @@ def _drawn(model, rng: np.random.Generator, length: int, low: float, high: float
     return u, qmat.haar_random_pure_state(model.n_qubits, rng)
 
 
-def _narma_rnmse(model, cfg: SweepConfig, order: int, rng: np.random.Generator) -> float:
-    """RNMSE averaged over several NARMA target sequences.
+def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
+    """Every requested metric at each of `points`, (index, coord) pairs of the grid.
 
-    The reservoir is driven with the raw NARMA input u in [0, 0.5], whereas
-    acceptance criterion 5 drives it with 4u - 1 in [-1, 1].  Switching to
-    that encoding moves every narma2 cell, so it waits for new reference
-    fields of the benchmark.
-    """
-    split = benchmarks.SplitSpec()
-    draws = [_drawn(model, rng, cfg.narma_len, 0.0, 0.5) for _ in range(cfg.narma_sequences)]
-    inputs, states = map(np.stack, zip(*draws))
-    readouts = run_reservoir(model, inputs, states)
-    scores = []
-    for u, features in zip(inputs, readouts):
-        target = benchmarks.narma_generate(u, order)
-        fit = benchmarks.train_linear_readout(features, target, split)
-        scores.append(benchmarks.rnmse(fit.test_target, fit.predictions))
-    return float(np.mean(scores))
+    Each point draws from its own streams; each kind of run drives the rows of all points in
+    one `run_reservoir` call, and each point finishes its metrics on its own rows.  Several
+    points must lie on one axis grid: each readout is then bit for bit the point's own."""
+    models = [_build_model(cfg, coord) for _, coord in points]
+    streams = [dict(zip(METRICS, map(np.random.default_rng, point_seed_sequence(cfg.seed, i).spawn(len(METRICS)))))
+               for i, _ in points]
+    joint = models[0] if len(models) == 1 else SimpleNamespace(  # axis 0 of its batches runs over the points
+        n_qubits=models[0].n_qubits, evolve=models[0].evolve,  # the same SK unitary and reset subsystem
+        encode=lambda u: np.stack([model.encode(u[:, p]) for p, model in enumerate(models)], axis=1))
+    values: list[dict] = [{} for _ in points]
+
+    def drive(stream: str, draw):  # each point's draw(model, rng) from its stream, stacked; one run for all
+        inputs, rho0 = map(np.stack, zip(*(draw(model, s[stream]) for model, s in zip(models, streams))))
+        return inputs, rho0, run_reservoir(joint, inputs, rho0)
+
+    ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len)
+    for stream, selector in (("esp", None), ("ns_esp_damping", espmetrics.damping_subsystem_selection),
+                             ("ns_esp_nondamping", espmetrics.non_damping_subsystem_selection)):
+        names = [name for name in (("esp", "ns_esp") if stream == "esp" else (stream,)) if name in cfg.metrics]
+        if names:
+            _, rho0, trajs = drive(stream, lambda m, rng: espmetrics.ensemble_draws(m.n_qubits, *ensemble, rng))
+            columns = selector and selector(qmat.all_pauli_strings(joint.n_qubits))
+            for point, states, traj in zip(values, rho0, trajs):
+                trace = espmetrics.ensemble_trace(traj, states, cfg.indicator_states, cfg.indicator_window, columns)
+                point.update((name, trace.final_esp if name == "esp" else trace.final_ns) for name in names)
+    # raw NARMA inputs u in [0, 0.5]: criterion 5's 4u - 1 moves every narma cell and waits for new references
+    for name, order in (("narma2", 2), ("narma10", 10)):
+        if name in cfg.metrics:
+            inputs, _, trajs = drive(name, lambda m, rng: map(np.stack, zip(
+                *[_drawn(m, rng, cfg.narma_len, 0.0, 0.5) for _ in range(cfg.narma_sequences)])))
+            for point, targets, features in zip(values, benchmarks.narma_generate(inputs, order), trajs):
+                fits = [benchmarks.train_linear_readout(x, y, benchmarks.SplitSpec()) for x, y in zip(features, targets)]
+                point[name] = float(np.mean([benchmarks.rnmse(fit.test_target, fit.predictions) for fit in fits]))
+    if {"mc", "ipc"} & set(cfg.metrics):
+        inputs, _, trajs = drive("mc", lambda m, rng: _drawn(m, rng, cfg.mc_len, -1.0, 1.0))
+        ipc_cfg = benchmarks.IpcConfig(budget=cfg.ipc_budget, surrogate_count=cfg.ipc_surrogates)
+        for point, u, traj, s in zip(values, inputs, trajs, streams):
+            if "mc" in cfg.metrics:
+                point["mc"] = benchmarks.mc_report(u, traj, cfg.mc_max_delay, cfg.mc_washout).total
+            if "ipc" in cfg.metrics:
+                point["ipc"] = benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout, s["ipc"]).total
+    if "rank" in cfg.metrics:
+        _, _, trajs = drive("rank", lambda m, rng: _drawn(m, rng, cfg.rank_len + cfg.rank_washout, -1.0, 1.0))
+        for point, traj in zip(values, trajs):
+            point["rank"] = float(benchmarks.trajectory_rank(traj, cfg.rank_threshold, cfg.rank_washout).raw)
+    return values
 
 
 def evaluate_point(cfg: SweepConfig, index: int, coord: tuple[float, float]) -> dict:
     """Compute every requested metric at one grid point."""
-    root = point_seed_sequence(cfg.seed, index)
-    streams = {name: np.random.default_rng(child) for name, child in
-               zip(METRICS, root.spawn(len(METRICS)))}
-    model = _build_model(cfg, coord)
-    values: dict[str, float] = {}
-
-    ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len, cfg.indicator_window)
-    if {"esp", "ns_esp"} & set(cfg.metrics):
-        trace = espmetrics.indicator_ensemble(model, *ensemble, streams["esp"])
-        if "esp" in cfg.metrics:
-            values["esp"] = trace.final_esp
-        if "ns_esp" in cfg.metrics:
-            values["ns_esp"] = trace.final_ns
-    for name, selector in (
-        ("ns_esp_damping", espmetrics.damping_subsystem_selection),
-        ("ns_esp_nondamping", espmetrics.non_damping_subsystem_selection),
-    ):
-        if name in cfg.metrics:
-            selection = selector(qmat.all_pauli_strings(model.n_qubits))
-            trace = espmetrics.indicator_ensemble(model, *ensemble, streams[name], columns=selection)
-            values[name] = trace.final_ns
-    if "narma2" in cfg.metrics:
-        values["narma2"] = _narma_rnmse(model, cfg, 2, streams["narma2"])
-    if "narma10" in cfg.metrics:
-        values["narma10"] = _narma_rnmse(model, cfg, 10, streams["narma10"])
-
-    if {"mc", "ipc"} & set(cfg.metrics):
-        u, rho0 = _drawn(model, streams["mc"], cfg.mc_len, -1.0, 1.0)
-        traj = run_reservoir(model, u, rho0)
-        if "mc" in cfg.metrics:
-            values["mc"] = benchmarks.mc_report(u, traj, cfg.mc_max_delay, cfg.mc_washout).total
-        if "ipc" in cfg.metrics:
-            ipc_cfg = benchmarks.IpcConfig(budget=cfg.ipc_budget, surrogate_count=cfg.ipc_surrogates)
-            values["ipc"] = benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout, streams["ipc"]).total
-    if "rank" in cfg.metrics:
-        u, rho0 = _drawn(model, streams["rank"], cfg.rank_len + cfg.rank_washout, -1.0, 1.0)
-        traj = run_reservoir(model, u, rho0)
-        values["rank"] = float(
-            benchmarks.trajectory_rank(traj, cfg.rank_threshold, cfg.rank_washout).raw
-        )
-    return values
+    return evaluate_chunk(cfg, [(index, coord)])[0]
 
 
-def _point_task(args):
-    cfg, index, coord = args
+def chunk_size(cfg: SweepConfig) -> int:
+    """Grid points per pool task, fixed by the config alone, never by the worker count: on the
+    axis grid, as many as fit CHUNK_BYTES with the readout (4**n floats, 128 bytes, a step) and
+    64-step state buffer (d x d complex, 256 bytes, a step) of each row of their largest run;
+    one on the gamma-p grid, whose models share no map."""
+    if cfg.experiment == "subset_gamma_p_grid":
+        return 1
+    runs = ((cfg.indicator_inputs * cfg.indicator_states, cfg.indicator_len, INDICATOR_METRICS),
+            (cfg.narma_sequences, cfg.narma_len, {"narma2", "narma10"}),
+            (1, cfg.mc_len, {"mc", "ipc"}), (1, cfg.rank_len + cfg.rank_washout, {"rank"}))
+    largest = max(rows * (128 * steps + 256 * TRANSFER_BLOCK) for rows, steps, kind in runs if kind & set(cfg.metrics))
+    return max(1, CHUNK_BYTES // largest)
+
+
+def _chunk_task(args):
+    """The points of a chunk, evaluated together, or one at a time when that fails: each records its own error."""
+    cfg, points = args
     try:
-        return index, evaluate_point(cfg, index, coord), None
+        done = evaluate_chunk(cfg, points) if len(points) > 1 else [evaluate_point(cfg, *points[0])]
+        return [(index, values, None) for (index, _), values in zip(points, done)]
     except Exception as exc:  # recorded in-field, the sweep continues
-        return index, {}, f"{type(exc).__name__}: {exc}"
+        if len(points) > 1:
+            return [row for point in points for row in _chunk_task((cfg, [point]))]
+        return [(points[0][0], {}, f"{type(exc).__name__}: {exc}")]
 
 
 def checkpoint_path(out_path: str) -> str:
@@ -341,16 +354,18 @@ def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
             fh.write(json.dumps(header) + "\n")
     results = {row["index"]: (row["values"], row.get("error")) for row in rows[1:]}
 
-    pending = [(cfg, i, coords[i]) for i in range(len(coords)) if i not in results]
-    if pending:
+    pending = [(i, coords[i]) for i in range(len(coords)) if i not in results]
+    size = chunk_size(cfg)
+    tasks = [(cfg, pending[start : start + size]) for start in range(0, len(pending), size)]
+    if tasks:
         pool = None if cfg.workers == 1 else ProcessPoolExecutor(max_workers=cfg.workers)
         try:
             with open(ckpt, "a", encoding="utf-8") as fh:
-                finished = map(_point_task, pending) if pool is None else pool.map(_point_task, pending)
-                for index, values, error in finished:
-                    results[index] = (values, error)
-                    fh.write(json.dumps({"index": index, "values": values, "error": error}) + "\n")
-                    fh.flush()
+                for chunk in map(_chunk_task, tasks) if pool is None else pool.map(_chunk_task, tasks):
+                    for index, values, error in chunk:
+                        results[index] = (values, error)
+                        fh.write(json.dumps({"index": index, "values": values, "error": error}) + "\n")
+                        fh.flush()
         finally:
             if pool is not None:  # joins the workers; after an error, queued points do not run
                 pool.shutdown(cancel_futures=True)

@@ -50,6 +50,36 @@ def test_narma_divergence_reports_step():
         bm.narma_generate(u, 10)
 
 
+@pytest.mark.parametrize("order", [2, 10])
+def test_narma_stack_equals_its_rows(order):
+    # a scalar loop over one sequence at a time, the recursion as first written
+    def one(u):
+        y = np.zeros(len(u))
+        for t in range(1, len(u)):
+            recent = y[max(0, t - order) : t].sum()
+            drive = u[t - 1] * u[t - order] if t >= order else 0.0
+            y[t] = 0.3 * y[t - 1] + 0.05 * y[t - 1] * recent + 1.5 * drive + 0.1
+        return y
+
+    u = np.random.default_rng(order).uniform(0.0, 0.5, (2, 4, 300))
+    stacked = bm.narma_generate(u, order)
+    assert stacked.shape == u.shape
+    for row, target in zip(u.reshape(8, -1), stacked.reshape(8, -1)):
+        assert np.array_equal(bm.narma_generate(row, order), target)  # bit for bit, not to a tolerance
+        assert np.array_equal(one(row), target)
+
+
+def test_narma_stack_names_first_diverging_step():
+    u = np.full((3, 2000), 0.5)
+    u[0] = 0.1  # stays bounded
+    with pytest.raises(ValueError, match="step") as alone:
+        bm.narma_generate(u[2], 10)
+    u[1, :40] = 0.0  # the same blow-up, later
+    with pytest.raises(ValueError) as stacked:
+        bm.narma_generate(u, 10)
+    assert str(stacked.value) == str(alone.value) == "NARMA10 diverged at step 32"
+
+
 # ---------------------------------------------------------------------------
 # readout and RNMSE
 

@@ -36,6 +36,25 @@ def test_variance_norm_columns_subset():
     assert sub <= full + 1e-12
 
 
+@pytest.mark.parametrize("selected", [False, True])
+def test_variance_norms_into_reused_buffer(selected):
+    # the kernel as first written, with fresh temporaries; selected columns change the memory
+    # layout of the windows, and with it the order in which each window's mean sums
+    def fresh(values, w):
+        blocks = np.lib.stride_tricks.sliding_window_view(values, w, axis=0)
+        mean = blocks.mean(axis=-1, keepdims=True)
+        return np.linalg.norm(np.mean((blocks - mean) ** 2, axis=-1), axis=1)
+
+    rng = np.random.default_rng(2)
+    series = rng.standard_normal((3, 60, 16))
+    if selected:
+        series = series[..., [0, 5, 10, 15]]
+    for w in (1, 10, 60):
+        buffer = np.empty_like(np.lib.stride_tricks.sliding_window_view(series[0], w, axis=0))
+        for values in series:
+            assert np.array_equal(em._variance_norms(values, w, buffer), fresh(values, w))
+
+
 def test_esp_indicator_scales_with_distance():
     a = np.ones((20, 2))
     b = np.ones((20, 2)) + 0.5

@@ -131,6 +131,28 @@ def test_reset_encode_leading_subsystem():
     assert np.allclose(qmat.partial_trace(out, [1]), rv.encoded_state(-0.4, axis), atol=1e-12)
 
 
+@pytest.mark.parametrize("n, reset", [(2, (1,)), (2, (0,)), (3, (0,)), (3, (1, 2)), (3, (0, 2))])
+def test_reset_encode_is_the_qmat_composition(n, reset):
+    # the kernel written out with the checked qmat operations, on a single state and on a stack
+    model = rv.NsReservoir(
+        rv.NsModelConfig(
+            hamiltonian=rv.SkHamiltonianConfig(n_qubits=n, seed=n),
+            axis=rv.AxisConfig(azimuth=2.3, polar=1.1),
+            reset_subsystem=reset,
+        )
+    )
+    order = [q for q in range(n) if q not in reset] + list(reset)
+    rng = np.random.default_rng(17)
+    for lead in ((), (3,)):
+        rho = np.stack([qmat.haar_random_pure_state(n, rng) for _ in range(3)])[(0,) if lead == () else ...]
+        sigma = model.encode(rng.uniform(-1, 1, lead))
+        expected = qmat.kron(qmat.partial_trace(rho, reset), sigma)
+        if order != sorted(order):
+            expected = qmat.permute_qubits(expected, [order.index(q) for q in range(n)])
+        assert np.array_equal(model.reset_encode(rho, sigma), expected)
+        assert np.array_equal(model.evolve(rho, sigma), model.unitary @ expected @ model.unitary_dag)
+
+
 # ---------------------------------------------------------------------------
 # reservoir step maps
 

@@ -335,14 +335,111 @@ def test_evaluate_point_reports_metric_set(tmp_path):
 
 
 def test_narma_rnmse_matches_sequential_drive_and_fit(tmp_path):
-    # one sequence at a time: draw u, then the initial state, drive, fit
+    # one sequence at a time from the point's narma2 stream: draw u, then the initial state, drive, fit
     cfg = small_config(tmp_path, metrics=("narma2",), narma_len=300, narma_sequences=3)
-    model = sweep._build_model(cfg, (0.7, 1.9))
-    rng = np.random.default_rng(31)
+    coord = (0.7, 1.9)
+    model = sweep._build_model(cfg, coord)
+    children = sweep.point_seed_sequence(cfg.seed, 4).spawn(len(sweep.METRICS))
+    rng = np.random.default_rng(children[sweep.METRICS.index("narma2")])
     scores = []
     for _ in range(cfg.narma_sequences):
         u = rng.uniform(0.0, 0.5, size=cfg.narma_len)
         traj = run_reservoir(model, u, qmat.haar_random_pure_state(model.n_qubits, rng))
         fit = benchmarks.train_linear_readout(traj, benchmarks.narma_generate(u, 2), benchmarks.SplitSpec())
         scores.append(benchmarks.rnmse(fit.test_target, fit.predictions))
-    assert sweep._narma_rnmse(model, cfg, 2, np.random.default_rng(31)) == float(np.mean(scores))
+    assert sweep.evaluate_point(cfg, 4, coord) == {"narma2": float(np.mean(scores))}
+
+
+def test_axis_chunk_rows_are_each_points_own_run(tmp_path, monkeypatch):
+    # points on different axes share evolve; each gets its own encode on its rows
+    runs = []
+
+    def recorded(model, inputs, rho0):
+        runs.append((inputs, rho0, run_reservoir(model, inputs, rho0)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(sweep, "run_reservoir", recorded)
+    cfg = small_config(tmp_path, metrics=("esp", "narma2"), indicator_len=2 * 64 + 7, narma_len=300, narma_sequences=2)
+    points = [(0, (0.0, 0.0)), (7, (1.3, 0.9)), (3, (4.0, np.pi)), (5, (2.2, 2.5))]
+    sweep.evaluate_chunk(cfg, points)
+    assert [run[0].shape for run in runs] == [(4, 4, 2 * 64 + 7), (4, 2, 300)]  # esp, then narma2
+    for inputs, rho0, readout in runs:
+        for (_, coord), u, states, rows in zip(points, inputs, rho0, readout):
+            assert np.array_equal(rows, run_reservoir(sweep._build_model(cfg, coord), u, states))  # bit for bit
+
+
+def _emitted(result, path):
+    sweep.emit_field(result, str(path))
+    return path.read_bytes()
+
+
+def _point_loop(cfg):
+    """The field of a loop over evaluate_point, as run_sweep reports it."""
+    coords = sweep.grid_coordinates(cfg)
+    done = [row for i, c in enumerate(coords) for row in sweep._chunk_task((cfg, [(i, c)]))]
+    return sweep.FieldResult(
+        coord_names=("p", "gamma") if cfg.experiment == "subset_gamma_p_grid" else ("azimuth", "polar"),
+        coords=coords, metrics=cfg.metrics, values=[v for _, v, _ in done], errors=[e for _, _, e in done],
+        config={},
+    )
+
+
+def chunked_config(tmp_path, **overrides):
+    # 9 points in chunks of 4, 4 and 1
+    fields = dict(metrics=("esp", "ns_esp", "narma2", "narma10"), azimuth_count=3, polar_count=3,
+                  narma_len=1000, narma_sequences=2)
+    return small_config(tmp_path, **{**fields, **overrides})
+
+
+def test_run_sweep_fields_equal_a_loop_over_evaluate_point(tmp_path):
+    cfg = chunked_config(tmp_path)
+    assert sweep.chunk_size(cfg) == 4
+    expected = _emitted(_point_loop(cfg), tmp_path / "loop.csv")
+    for workers in (1, 2):
+        result = sweep.run_sweep(replace(cfg, workers=workers, out_path=str(tmp_path / f"w{workers}.csv")))
+        assert _emitted(result, tmp_path / f"w{workers}.csv") == expected
+    # the gamma-p models share no map: one point per task
+    cfg = small_config(
+        tmp_path, experiment="subset_gamma_p_grid", metrics=("mc", "ipc", "rank", "ns_esp_damping"),
+        gamma_count=2, p_count=2, mc_len=400, mc_washout=100, mc_max_delay=10, ipc_budget=((1, 10), (2, 4)),
+        ipc_surrogates=5, rank_len=200, rank_washout=50,
+    )
+    assert sweep.chunk_size(cfg) == 1
+    assert _emitted(sweep.run_sweep(cfg), tmp_path / "gp.csv") == _emitted(_point_loop(cfg), tmp_path / "loop.csv")
+
+
+def test_run_sweep_resumes_points_inside_chunks(tmp_path):
+    cfg = chunked_config(tmp_path)
+    full = _emitted(sweep.run_sweep(cfg, resume=False), tmp_path / "full.csv")
+    ckpt = tmp_path / sweep.checkpoint_path("field.csv")
+    lines = ckpt.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if json.loads(line).get("index") not in (1, 5, 6)]
+    ckpt.write_text("".join(kept))  # points 1, 5 and 6 lie inside the chunks 0-3 and 4-7
+    assert _emitted(sweep.run_sweep(cfg, resume=True), tmp_path / "resumed.csv") == full
+    assert len(ckpt.read_text().splitlines()) == len(lines)
+
+
+def test_failing_point_reruns_its_chunk_one_point_at_a_time(tmp_path, monkeypatch):
+    cfg = chunked_config(tmp_path)
+    clean = sweep.run_sweep(cfg, resume=False)
+    build = sweep._build_model
+    bad = sweep.grid_coordinates(cfg)[5]
+
+    def build_failing(cfg, coord):
+        model = build(cfg, coord)
+        if coord == bad:  # fails on its first encode, inside the run of its chunk
+            def encode(u):
+                raise ArithmeticError(f"encode failed at {coord}")
+
+            model.encode = encode
+        return model
+
+    monkeypatch.setattr(sweep, "_build_model", build_failing)
+    with pytest.raises(ArithmeticError) as alone:
+        sweep.evaluate_point(cfg, 5, bad)
+    result = sweep.run_sweep(cfg, resume=False)
+    assert result.errors[5] == f"ArithmeticError: {alone.value}"
+    assert result.values[5] == {}
+    for i in range(len(clean.values)):
+        if i != 5:
+            assert result.errors[i] is None and result.values[i] == clean.values[i]
