@@ -13,8 +13,10 @@ products of normalized Legendre polynomials of delayed inputs, an
 orthonormal basis under Uniform[-1, 1] inputs, so inputs must lie in
 [-1, 1].  `mc_report` and `ipc_report` check their inputs in one place: the
 inputs must align with the feature rows, one per row, and every delay a
-capacity asks for must lie within the washout.  Both evaluate their targets
-in column blocks of CAPACITY_BLOCK_BYTES, one GEMM against Q per block.
+capacity asks for must lie within the washout.  Both build their targets
+term-major in blocks of CAPACITY_BLOCK_BYTES, never fewer than Q has columns,
+one GEMM per block; a shuffle surrogate permutes the rows of Q instead of the
+targets (Q^T v[perm] = Q_perm^T v, Q_perm[perm] = Q), one scatter per surrogate.
 """
 
 from __future__ import annotations
@@ -159,45 +161,57 @@ def _capacity_basis(inputs, features, washout: int, max_delay: int) -> tuple[np.
     return inputs, _svd_basis(x - x.mean(axis=0), CAPACITY_REL_CUT)
 
 
-def _capacity(q: np.ndarray, vc: np.ndarray, norm2: np.ndarray) -> np.ndarray:
-    """||Q^T v||^2 / ||v||^2 for each column v of the (n, m) centered targets
-    vc, whose squared norms are norm2: one GEMM against Q.  A constant target
-    (norm2 0) has capacity 0."""
-    caps = np.sum((vc.T @ q) ** 2, axis=-1)
-    return np.divide(caps, norm2, out=np.zeros_like(caps), where=norm2 != 0.0)
-
-
 def _capacities(q: np.ndarray, table: dict, terms: list, washout: int, perms) -> tuple[np.ndarray, ...]:
     """Capacities of the targets of `terms`, zeroed where a shuffle surrogate
-    (a row order in `perms`) reaches them, and the mask of zeroed ones.
+    (a row order from the iterable `perms`, taken only while some target is
+    unreached) reaches them, and the mask of zeroed ones.
 
     The target of a term, a tuple of (delay k, degree d) factors, is at row t
-    the product of table[d][washout + t - k].  Targets go through the GEMMs
-    CAPACITY_BLOCK_BYTES at a time, and each surrogate is tried only on the
-    targets no earlier one has reached.
+    the product of table[d][washout + t - k].  Each pass rebuilds its targets,
+    term-major, in blocks of CAPACITY_BLOCK_BYTES but never fewer than Q has
+    columns, one GEMM per block.  The first pass centers them.  A surrogate
+    pass takes the targets no earlier one has reached against Q_perm, where
+    Q_perm[perm] = Q - mean(Q): Q_perm^T v = Q^T (v[perm] - mean v).
     """
-    n = len(q)
-    values, zeroed = np.empty(len(terms)), np.ones(len(terms), dtype=bool)
-    cols = max(1, CAPACITY_BLOCK_BYTES // (8 * n))
-    for start in range(0, len(terms), cols):
-        chunk = terms[start : start + cols]
-        block = np.ones((len(chunk), n))
-        for target, term in zip(block, chunk):
-            for delay, part in term:
-                target *= table[part][washout - delay : washout - delay + n]
-        vc = np.subtract(block.T, block.mean(axis=1), order="C")  # one centered target per column
-        del block  # so that the surrogates' gathers do not sit beside it
-        norm2 = np.einsum("ij,ij->j", vc, vc)
-        value = _capacity(q, vc, norm2)
-        alive = np.arange(len(value))
-        for perm in perms:
-            below = _capacity(q, vc.take(perm, axis=0), norm2[alive]) < value[alive]
-            if not below.all():
-                alive, vc = alive[below], vc.compress(below, axis=1)
-                if not len(alive):
-                    break
-        values[start : start + len(value)] = value
-        zeroed[start + alive] = False  # every target when there are no surrogates
+    n, r = q.shape
+    cols = max(1, r, CAPACITY_BLOCK_BYTES // (8 * n))
+    work = np.empty(cols * n + n * r)  # block and permuted basis: as two allocations they raised peak RSS
+    buffer, shuffled = work[: cols * n].reshape(cols, n), work[cols * n :].reshape(n, r)
+
+    def blocks(rows):
+        """(slice of `rows`, the targets of those terms) a block at a time."""
+        for start in range(0, len(rows), cols):
+            chunk = rows[start : start + cols]
+            block = buffer[: len(chunk)]
+            for target, row in zip(block, chunk):
+                (delay, part), *rest = terms[row]
+                target[:] = table[part][washout - delay : washout - delay + n]
+                for delay, part in rest:
+                    target *= table[part][washout - delay : washout - delay + n]
+            yield slice(start, start + len(block)), block
+
+    def ratio(proj, norm2):
+        """||Q^T v_c||^2 / ||v_c||^2, and 0 for a constant target (norm2 0)."""
+        return np.divide(proj, norm2, out=np.zeros_like(proj), where=norm2 != 0.0)
+
+    alive = np.arange(len(terms))
+    proj, norm2 = np.empty(len(terms)), np.empty(len(terms))
+    for part, block in blocks(alive):
+        block -= block.mean(axis=1, keepdims=True)
+        norm2[part] = np.einsum("ij,ij->i", block, block)
+        proj[part] = np.sum((block @ q) ** 2, axis=-1)
+    values, means = ratio(proj, norm2), q.mean(axis=0)
+    for perm in perms:
+        shuffled[perm] = q
+        shuffled -= means
+        proj = np.empty(len(alive))
+        for part, block in blocks(alive):
+            proj[part] = np.sum((block @ shuffled) ** 2, axis=-1)
+        alive = alive[ratio(proj, norm2[alive]) < values[alive]]
+        if not len(alive):
+            break
+    zeroed = np.ones(len(terms), dtype=bool)
+    zeroed[alive] = False  # every target when there are no surrogates
     values[zeroed] = 0.0
     return values, zeroed
 
@@ -293,21 +307,18 @@ def ipc_report(inputs, features, cfg: IpcConfig, washout: int, rng: np.random.Ge
     and so does a budget delay beyond the washout, whose history is missing.
     Inputs and feature rows are aligned in time and must be equally many.
 
-    Each component is compared against the maximum capacity of its
-    time-shuffled target (surrogate_count permutations, drawn once and
-    shared across components for determinism); components at or below the
-    threshold are zeroed.  surrogate_count = 0 disables
-    thresholding.
+    A component is zeroed when its time-shuffled target reaches its
+    capacity under some surrogate.  The surrogates are row permutations
+    shared by all components, drawn from `rng` in order as the passes need
+    them: at most surrogate_count, never held as a (surrogate_count, n)
+    table.  surrogate_count = 0 disables thresholding.
     """
     inputs = np.asarray(inputs, dtype=float)
     outside = ~(np.abs(inputs) <= 1.0)
     if outside.any():
         raise ValueError(f"IPC input {inputs[outside][0]} outside [-1, 1]")
     inputs, q = _capacity_basis(inputs, features, washout, max(m for _, m in cfg.budget))
-    n = len(q)
-    perms = np.empty((cfg.surrogate_count, n), dtype=np.intp)
-    for row in perms:
-        row[:] = rng.permutation(n)
+    perms = (rng.permutation(len(q)) for _ in range(cfg.surrogate_count))
     table = {d: normalized_legendre(d, inputs) for d in range(1, max(d for d, _ in cfg.budget) + 1)}
 
     terms = [(d, t) for d, max_delay in cfg.budget for t in enumerate_degree_terms(d, max_delay)]

@@ -396,8 +396,10 @@ def _fmt(x: float) -> str:
 def emit_field(result: FieldResult, path: str, fmt: str = "csv") -> None:
     """Write the field as CSV (one row per grid point) or JSON with metadata.
 
-    JSON stays standard: non-finite values are written as the strings
-    "inf", "-inf" and "nan", the CSV spellings.
+    A CSV error cell has its commas written as semicolons and its line
+    breaks as spaces, so each row keeps the header's columns.  JSON stays
+    standard: non-finite values are written as the strings "inf", "-inf"
+    and "nan", the CSV spellings.
     """
     if not result.values or not result.metrics:
         raise ValueError("refusing to write an empty field")
@@ -406,7 +408,7 @@ def emit_field(result: FieldResult, path: str, fmt: str = "csv") -> None:
         for (u, v), values, error in zip(result.coords, result.values, result.errors):
             cells = [_fmt(u), _fmt(v)]
             cells += [_fmt(values[m]) if m in values else "nan" for m in result.metrics]
-            cells.append(error or "")
+            cells.append(" ".join((error or "").replace(",", ";").splitlines()))  # one cell, one line
             lines.append(",".join(cells))
         body = "\n".join(lines) + "\n"
     elif fmt == "json":

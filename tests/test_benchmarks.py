@@ -321,25 +321,77 @@ def constant_target_case():
     return u, rng.standard_normal((len(u), 4)), bm.IpcConfig(budget=((1, 8),), surrogate_count=10), washout
 
 
+def first_surrogate_case():
+    # memoryless features, on a seed where the first surrogate reaches all 3 components
+    washout = 5
+    rng = np.random.default_rng(4)
+    u = rng.uniform(-1, 1, 300)
+    return u, rng.standard_normal((len(u), 3)), bm.IpcConfig(budget=((1, 2),), surrogate_count=6), washout
+
+
+def permutations_drawn(rng, seed, n, most):
+    """How many permutations of n a generator seeded with `seed` has drawn to reach rng's state."""
+    fresh = np.random.default_rng(seed)
+    for drawn in range(most + 1):
+        if fresh.bit_generator.state == rng.bit_generator.state:
+            return drawn
+        fresh.permutation(n)
+    raise AssertionError("rng drew more than the surrogate count")
+
+
 @pytest.mark.parametrize(
     "case",
     [
         lambda: subset_case(20),
         lambda: subset_case(0),
+        lambda: subset_case(7),
         delay_line_case,
         constant_target_case,
+        first_surrogate_case,
     ],
-    ids=["subset-n4000", "subset-no-surrogates", "delay-line-one-target-per-block", "constant-target"],
+    ids=[
+        "subset-n4000", "subset-no-surrogates", "subset-7-surrogates", "delay-line-one-target-per-block",
+        "constant-target", "all-reached-by-first-surrogate",
+    ],
 )
 def test_ipc_report_matches_per_target_loop(case):
     u, feats, cfg, washout = case()
     expected, zeroed = per_target_ipc(u, feats, cfg, washout, np.random.default_rng(9))
-    ipc = bm.ipc_report(u, feats, cfg, washout, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    ipc = bm.ipc_report(u, feats, cfg, washout, rng)
     values = np.array([v for _, v in ipc.components])
     assert np.array_equal(values == 0.0, expected == 0.0)  # the same components zeroed
     assert ipc.threshold_count == zeroed
     assert np.abs(values - expected).max() <= 1e-12
     assert (zeroed > 0) == (cfg.surrogate_count > 0)
+    drawn = permutations_drawn(rng, 9, len(u) - washout, cfg.surrogate_count)
+    if zeroed < len(values):  # a kept component meets every surrogate
+        assert drawn == cfg.surrogate_count
+
+
+def test_ipc_report_stops_drawing_once_every_component_is_reached():
+    u, feats, cfg, washout = first_surrogate_case()
+    rng = np.random.default_rng(9)
+    ipc = bm.ipc_report(u, feats, cfg, washout, rng)
+    assert ipc.threshold_count == len(ipc.components) == 3
+    assert permutations_drawn(rng, 9, len(u) - washout, cfg.surrogate_count) == 1
+
+
+def test_capacities_of_features_constant_after_washout():
+    # the features vary in the washout only, so the basis Q has no columns
+    rng = np.random.default_rng(13)
+    u = rng.uniform(-1, 1, 300)
+    feats = np.ones((len(u), 3))
+    feats[:40] = rng.standard_normal((40, 3))
+    budget = ((1, 5), (2, 3))
+    components = sum(len(bm.enumerate_degree_terms(d, m)) for d, m in budget)
+    ipc = bm.ipc_report(u, feats, bm.IpcConfig(budget=budget, surrogate_count=5), 40, np.random.default_rng(1))
+    assert [v for _, v in ipc.components] == [0.0] * components
+    assert ipc.threshold_count == components
+    raw = bm.ipc_report(u, feats, bm.IpcConfig(budget=budget, surrogate_count=0), 40, np.random.default_rng(1))
+    assert raw.threshold_count == 0 and raw.total == 0.0
+    mc = bm.mc_report(u, feats, max_delay=5, washout=40)
+    assert np.array_equal(mc.memory_functions, np.zeros(6)) and mc.total == 0.0
 
 
 def test_ipc_report_refuses_delays_past_washout():

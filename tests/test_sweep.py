@@ -228,6 +228,30 @@ def test_emit_and_parse_roundtrip(tmp_path):
         assert row[2] == values["esp"]
 
 
+def test_emit_field_keeps_one_cell_per_error(tmp_path):
+    errors = [
+        "ValueError: input 2.0 outside [-1, 1]",
+        "ValueError: shapes (3,4) and (5,) not aligned\r\nsecond line",
+        None,
+    ]
+    result = sweep.FieldResult(
+        config={}, coord_names=("p", "gamma"), coords=[(0.0, 0.0), (0.5, 0.0), (1.0, 0.5)], metrics=("mc", "ipc"),
+        values=[{}, {}, {"mc": 1.5, "ipc": 2.25}], errors=errors,
+    )
+    out = tmp_path / "field.csv"
+    sweep.emit_field(result, str(out))
+    header, rows, read = sweep.parse_field_csv(str(out))
+    assert header == ["p", "gamma", "mc", "ipc", "error"]
+    assert [len(row) + 1 for row in rows] == [len(header)] * 3
+    assert read == [
+        "ValueError: input 2.0 outside [-1; 1]",
+        "ValueError: shapes (3;4) and (5;) not aligned second line",
+        None,
+    ]
+    assert rows[2] == [1.0, 0.5, 1.5, 2.25]
+    assert out.read_text().endswith("\n1,0.5,1.5,2.25,\n")  # a clean row as before
+
+
 def test_emit_field_json(tmp_path):
     cfg = small_config(tmp_path)
     result = sweep.run_sweep(cfg, resume=False)
