@@ -94,7 +94,6 @@ class ReadoutFit:
     weights: np.ndarray
     predictions: np.ndarray  # on the test segment
     test_target: np.ndarray
-    test_slice: slice
     degenerate: bool  # rank-deficient design solved by minimum-norm pseudo-inverse
 
 
@@ -114,12 +113,10 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
 
     degenerate = np.linalg.matrix_rank(x_train) < x.shape[1]
     weights = np.linalg.pinv(x_train) @ y_train
-    test = slice(test_start, len(y))
     return ReadoutFit(
         weights=weights,
-        predictions=x[test] @ weights,
-        test_target=y[test],
-        test_slice=test,
+        predictions=x[test_start:] @ weights,
+        test_target=y[test_start:],
         degenerate=degenerate,
     )
 

@@ -100,10 +100,8 @@ def ns_esp_indicator(traj_a, traj_b, s0_dist: float, w: int, t: int, columns=Non
 class IndicatorTrace:
     """Indicator traces averaged over an ensemble; ns values start at index w-1."""
 
-    times: np.ndarray
     esp_values: np.ndarray
     ns_values: np.ndarray
-    window: int
 
     @property
     def final_esp(self) -> float:
@@ -150,12 +148,7 @@ def ensemble_trace(traj, rho0: np.ndarray, n_states: int, w: int, columns=None) 
             esp_sum += esp
             ns_sum += _ns_trace(esp, variance[i], variance[j])
             count += 1
-    return IndicatorTrace(
-        times=np.arange(seq_len),
-        esp_values=esp_sum / count,
-        ns_values=ns_sum / count,
-        window=w,
-    )
+    return IndicatorTrace(esp_values=esp_sum / count, ns_values=ns_sum / count)
 
 
 def indicator_ensemble(model, n_inputs: int, n_states: int, seq_len: int, w: int, rng: np.random.Generator,

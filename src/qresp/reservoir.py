@@ -13,12 +13,12 @@ Every ``step``, and ``run_reservoir``, also acts on a stack of density
 matrices, shape (..., d, d), driven by inputs of the stack's leading shape:
 each trajectory of a stack goes through the numpy calls a single one does.
 ``run_reservoir`` returns the readout as a plain float array, one column per
-Pauli string of ``qmat.all_pauli_strings``.  On ``SubsetReservoir`` it
-iterates the real 16x16 transfer map of ``SubsetReservoir.transfer`` on that
-Pauli vector; ``step`` stays the definition it agrees with to rounding.  On
-the other models, whose ``step(rho, u)`` is ``evolve(rho, encode(u))``, it
-steps density matrices in blocks of 64 steps, with one ``encode`` and one
-readout per block, bit for bit with a loop over ``step``.
+Pauli string of ``qmat.all_pauli_strings``.  It has one loop for every model,
+state <- evolve(state, encode(u)), with one ``encode`` and one readout per
+64 steps.  The state is a density matrix, except on ``SubsetReservoir``:
+its ``encode`` gives the real 16x16 transfer maps T(u) and its state is the
+Pauli vector, the readout itself; its density-matrix ``step`` stays the
+definition those maps agree with to rounding.
 
 ``run_classical_reference`` runs contracting tanh echo-state networks
 with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t),
@@ -79,6 +79,9 @@ class SkHamiltonianConfig:
     def __post_init__(self):
         if self.n_qubits < 2:
             raise ValueError("n_qubits must be at least 2")
+        for name in ("j_scale", "field_width", "global_field"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.j_scale <= 0:
             raise ValueError("j_scale must be positive")
         if self.field_width < 0:
@@ -93,6 +96,8 @@ class AxisConfig:
     polar: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite(self.azimuth):
+            raise ValueError("azimuth must be finite")
         if not 0.0 <= self.polar <= np.pi + 1e-12:
             raise ValueError(f"polar angle {self.polar} outside [0, pi]")
 
@@ -261,8 +266,8 @@ class NsReservoir:
             combined = combined.reshape((-1,) + (2,) * (2 * self.n_qubits)).transpose(self.axes)
         return combined.reshape(lead + self.unitary.shape)
 
-    def evolve(self, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        return self.unitary @ self.reset_encode(rho, sigma) @ self.unitary_dag
+    def evolve(self, rho: np.ndarray, sigma: np.ndarray, out=None) -> np.ndarray:
+        return np.matmul(self.unitary @ self.reset_encode(rho, sigma), self.unitary_dag, out=out)
 
     def step(self, rho: np.ndarray, u) -> np.ndarray:
         return self.evolve(rho, self.encode(u))
@@ -316,11 +321,18 @@ class SubsetReservoir:
 
     def transfer(self, u) -> np.ndarray:
         """The real maps T(u) = (R(u) (x) R(u)) S = sum_ij c_i c_j (R_i (x) R_j) S, shape (..., 16, 16):
-        T(u) tr(P_k rho) is the readout of `step(rho, u)` to rounding.  Inputs are not checked."""
+        T(u) tr(P_k rho) is the readout of `step(rho, u)` to rounding.  Inputs are not checked.  Each column
+        u[:, b] gets a GEMM of its own, as alone: a one-row product rounds unlike a row of a larger one."""
         u = np.asarray(u, dtype=float)
         c = np.stack([np.ones_like(u), u, np.sqrt(1.0 - u * u)], axis=-1)
-        cc = (c[..., :, None] * c[..., None, :]).reshape(-1, 9)
-        return (cc @ self.transfer_terms).reshape(u.shape + (16, 16))
+        cc = (c[..., :, None] * c[..., None, :]).reshape(len(u) if u.ndim else 1, -1, 9)
+        return (cc.swapaxes(0, 1) @ self.transfer_terms).swapaxes(0, 1).reshape(u.shape + (16, 16))
+
+    encode = transfer
+
+    def evolve(self, x: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
+        """T x on Pauli vectors kept as (..., 16, 1) columns: `step` on the readout, to rounding."""
+        return np.matmul(m, x, out=out)
 
 
 class DepolarizingReservoir:
@@ -338,9 +350,9 @@ class DepolarizingReservoir:
     def encode(self, u):  # the channel does not depend on its input
         return u
 
-    def evolve(self, rho: np.ndarray, _) -> np.ndarray:
+    def evolve(self, rho: np.ndarray, _, out=None) -> np.ndarray:
         rotated = self.unitary @ rho @ self.unitary.conj().T
-        return (1 - self.epsilon) * rotated + self.epsilon * self.mixed
+        return np.add((1 - self.epsilon) * rotated, self.epsilon * self.mixed, out=out)
 
     def step(self, rho: np.ndarray, u) -> np.ndarray:
         return self.evolve(rho, self.encode(u))
@@ -355,7 +367,7 @@ def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarra
     return np.einsum("bij,...ji->...b", basis_matrices, rho).real
 
 
-TRANSFER_BLOCK = 64  # steps whose maps, or states, are built at once, so memory does not grow with T
+TRANSFER_BLOCK = 64  # steps encoded at once and kept for one readout, so memory does not grow with T
 
 
 def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
@@ -367,11 +379,11 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
     P_k the k-th string of `qmat.all_pauli_strings(n)` ("I...I" first).
 
     The first time index with an input outside [-1, 1], or a readout outside
-    it by more than 1e-9, raises.  A model with a `transfer` method
-    (``SubsetReservoir``) iterates x_{t+1} = T(u_t) x_t from x_0 = tr(P_k rho0),
-    which agrees with `step` to rounding; each trajectory runs its own loop,
-    so a batch equals its rows bit for bit.  Any other model runs
-    `evolve(rho, encode(u))`, which is its `step` bit for bit.
+    it by more than 1e-9 (nan included), raises.  Every model runs state <-
+    evolve(state, encode(u)), with one `encode` and one readout per block of
+    steps.  The state is rho, bit for bit with a loop over `step`, or on a
+    model with a `transfer` map (``SubsetReservoir``) the Pauli vector, read
+    out as it stands and equal to `step` to rounding; a batch equals its rows.
     """
     inputs = np.asarray(inputs, dtype=float)
     outside = ~(np.abs(inputs) <= 1.0)
@@ -381,27 +393,19 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
                            f"input {inputs[..., t][outside[..., t]][0]} outside [-1, 1]")
     ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(model.n_qubits))
     batch = np.broadcast_shapes(inputs.shape[:-1], np.shape(rho0)[:-2])
-    # Before the readout: freed, the buffer leaves a hole the next call reuses, not a heap top malloc trims.
-    states = None if hasattr(model, "transfer") else np.empty((TRANSFER_BLOCK,) + batch + np.shape(rho0)[-2:], dtype=complex)
-    values = np.empty(batch + (inputs.shape[-1], len(ops)))
     if hasattr(model, "transfer"):
-        drive = np.broadcast_to(inputs, values.shape[:-1])
-        x0 = np.broadcast_to(pauli_expectations(rho0, ops), batch + (len(ops),))
-        for b in np.ndindex(batch):
-            x = x0[b]
-            for start in range(0, inputs.shape[-1], TRANSFER_BLOCK):
-                steps = slice(start, start + TRANSFER_BLOCK)
-                for m, row in zip(model.transfer(drive[b][steps]), values[b][steps]):
-                    x = np.matmul(m, x, out=row)
+        state, dtype, readout = pauli_expectations(rho0, ops)[..., None], float, lambda x: x[..., 0]
     else:
-        rho = rho0
-        for start in range(0, inputs.shape[-1], TRANSFER_BLOCK):
-            encoded = model.encode(np.moveaxis(inputs[..., start:start + TRANSFER_BLOCK], -1, 0))
-            for t, sigma in enumerate(encoded):
-                rho = states[t] = model.evolve(rho, sigma)
-            values[..., start:start + len(encoded), :] = np.moveaxis(
-                pauli_expectations(states[:len(encoded)], ops), 0, -2)
-    over = np.maximum(values.max(axis=-1), -values.min(axis=-1)) > 1.0 + 1e-9
+        state, dtype, readout = rho0, complex, lambda rho: pauli_expectations(rho, ops)
+    # Before the readout: freed, the buffer leaves a hole the next call reuses, not a heap top malloc trims.
+    states = np.empty((TRANSFER_BLOCK,) + batch + np.shape(state)[-2:], dtype=dtype)
+    values = np.empty(batch + (inputs.shape[-1], len(ops)))
+    for start in range(0, inputs.shape[-1], TRANSFER_BLOCK):
+        encoded = model.encode(np.moveaxis(inputs[..., start:start + TRANSFER_BLOCK], -1, 0))
+        for sigma, out in zip(encoded, states):
+            state = model.evolve(state, sigma, out)
+        values[..., start:start + len(encoded), :] = np.moveaxis(readout(states[:len(encoded)]), 0, -2)
+    over = ~(np.maximum(values.max(axis=-1), -values.min(axis=-1)) <= 1.0 + 1e-9)
     if over.any():
         raise RuntimeError(f"readout out of range at time index {np.nonzero(over)[-1].min()}")
     return values

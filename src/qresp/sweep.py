@@ -487,12 +487,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    try:
+    try:  # a checkpoint of another config or an undecodable one, or an output path that cannot be written
         result = run_sweep(cfg)
-    except ValueError as exc:  # a checkpoint of another config, or an undecodable one
+        emit_field(result, cfg.out_path, fmt=args.format)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    emit_field(result, cfg.out_path, fmt=args.format)
     failures = sum(1 for e in result.errors if e)
     if failures:
         print(f"{failures} of {len(result.errors)} grid points failed", file=sys.stderr)

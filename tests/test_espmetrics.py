@@ -114,10 +114,8 @@ def test_ns_indicator_time_validation():
 
 def test_indicator_trace_final_values():
     trace = em.IndicatorTrace(
-        times=np.array([9, 10, 11]),
         esp_values=np.array([1.0, 0.5, 0.25]),
         ns_values=np.array([2.0, 1.0, 0.5]),
-        window=10,
     )
     assert trace.final_esp == 0.25
     assert trace.final_ns == 0.5

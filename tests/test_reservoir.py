@@ -47,6 +47,21 @@ def test_sk_config_validation():
         rv.SkHamiltonianConfig(n_qubits=0)
     with pytest.raises(ValueError):
         rv.SkHamiltonianConfig(j_scale=-1.0)
+    # a non-finite value is refused up front, by name, not by the sampler or the eigensolver later
+    for name in ("j_scale", "field_width", "global_field"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                rv.SkHamiltonianConfig(**{name: value})
+
+
+def test_axis_config_validation():
+    rv.AxisConfig(azimuth=6.0, polar=np.pi)  # both ends of the polar range are axes
+    for polar in (-0.1, np.pi + 1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="polar angle"):
+            rv.AxisConfig(polar=polar)
+    for azimuth in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="azimuth must be finite"):
+            rv.AxisConfig(azimuth=azimuth)
 
 
 # ---------------------------------------------------------------------------
@@ -247,39 +262,50 @@ def test_run_reservoir_names_failing_step():
     for model in (rv.SubsetReservoir(rv.SubsetModelConfig()), rv.NsReservoir(rv.NsModelConfig())):
         with pytest.raises(RuntimeError, match=r"time index 2: input 3.0 outside \[-1, 1\]$"):
             rv.run_reservoir(model, inputs, np.eye(4, dtype=complex) / 4)
+    # a readout of nan is out of range too, from its first step
+    broken = rv.DepolarizingReservoir(0.2)
+    broken.unitary = np.full((4, 4), np.nan, dtype=complex)
+    with pytest.raises(RuntimeError, match="readout out of range at time index 0$"):
+        rv.run_reservoir(broken, np.zeros((3, 4)), np.eye(4, dtype=complex) / 4)
+
+
+SUBSET = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=0.3, cnot_exponent=0.7))
 
 
 @pytest.mark.parametrize(
-    "model",
+    "model, n_rows, last_block",
     [
-        rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth=0.8, polar=1.2))),
-        rv.NsReservoir(
+        (rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth=0.8, polar=1.2))), 3, 5),
+        (rv.NsReservoir(
             rv.NsModelConfig(
                 hamiltonian=rv.SkHamiltonianConfig(n_qubits=3, seed=3),
                 axis=rv.AxisConfig(azimuth=2.1, polar=0.6),
                 reset_subsystem=(0,),  # kept qubits go first, so the factors are permuted back
             )
-        ),
-        rv.NsReservoir(
+        ), 3, 5),
+        (rv.NsReservoir(
             rv.NsModelConfig(
                 hamiltonian=rv.SkHamiltonianConfig(n_qubits=3, seed=4),
                 axis=rv.AxisConfig(azimuth=1.1, polar=2.6),
                 reset_subsystem=(1, 2),  # a two-qubit reset state, no permutation
             )
-        ),
-        rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=0.3, cnot_exponent=0.7)),
-        rv.DepolarizingReservoir(0.2),
+        ), 3, 5),
+        (SUBSET, 3, 5),
+        # the batch of a subset indicator ensemble; a one-step block, whose map a row alone
+        # builds with a one-row product, which rounds unlike a row of a larger one
+        (SUBSET, 12, 1),
+        (rv.DepolarizingReservoir(0.2), 3, 5),
     ],
-    ids=["ns-2q", "ns-3q-reset0", "ns-3q-reset12", "subset", "depolarizing"],
+    ids=["ns-2q", "ns-3q-reset0", "ns-3q-reset12", "subset", "subset-12rows", "depolarizing"],
 )
-def test_run_reservoir_batch_equals_its_rows(model):
+def test_run_reservoir_batch_equals_its_rows(model, n_rows, last_block):
     rng = np.random.default_rng(21)
-    steps = 2 * rv.TRANSFER_BLOCK + 5  # two whole blocks and a partial one
-    inputs = rng.uniform(-1, 1, (3, steps))
-    states = np.stack([qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(3)])
+    steps = 2 * rv.TRANSFER_BLOCK + last_block  # two whole blocks and a partial one
+    inputs = rng.uniform(-1, 1, (n_rows, steps))
+    states = np.stack([qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(n_rows)])
     batch = rv.run_reservoir(model, inputs, states)
     rows = np.stack([rv.run_reservoir(model, u, rho) for u, rho in zip(inputs, states)])
-    assert batch.shape == (3, steps, 4**model.n_qubits)
+    assert batch.shape == (n_rows, steps, 4**model.n_qubits)
     assert np.array_equal(batch, rows)  # bit for bit, not to a tolerance
     # a batch of states under one shared input sequence broadcasts the same way
     shared = rv.run_reservoir(model, inputs[0], states)

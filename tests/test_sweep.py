@@ -326,6 +326,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert sweep.main(["--config", str(bad), "--seed", "2"]) == sweep.EXIT_CONFIG_ERROR
     assert "config error" in capsys.readouterr().err
+    # an output path that cannot be written: no traceback, and nothing written
+    missing = tmp_path / "missing" / "z.csv"
+    bad.write_text(json.dumps(dict(small, out_path=str(missing))))
+    assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
+    assert "config error" in capsys.readouterr().err
+    assert not missing.parent.exists()
+    # a field that cannot be written after the sweep: the checkpoint keeps the points for a rerun
+    taken = tmp_path / "taken.csv"
+    taken.mkdir()
+    bad.write_text(json.dumps(dict(small, out_path=str(taken))))
+    assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
+    assert "config error: cannot write field" in capsys.readouterr().err
+    with open(sweep.checkpoint_path(str(taken)), encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) == 1 + 4  # the config and the 2 x 2 grid points
 
 
 def test_cli_runs_and_writes(tmp_path):
