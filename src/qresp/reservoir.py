@@ -427,6 +427,8 @@ class ClassicalRefConfig:
     def __post_init__(self):
         if self.kind not in ("plain", "scaled", "biased"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not np.isfinite(self.rate):
+            raise ValueError("rate must be finite")
         if self.kind == "scaled" and self.rate <= 0:
             raise ValueError("scaled system requires a positive rate")
         if self.size < 1:

@@ -36,23 +36,27 @@ def test_variance_norm_columns_subset():
     assert sub <= full + 1e-12
 
 
+def sliding_variance_norms(values, w):
+    # the variance kernel over every window of one trajectory, with fresh temporaries
+    blocks = np.lib.stride_tricks.sliding_window_view(values, w, axis=0)
+    mean = blocks.mean(axis=-1, keepdims=True)
+    return np.linalg.norm(np.mean((blocks - mean) ** 2, axis=-1), axis=1)
+
+
 @pytest.mark.parametrize("selected", [False, True])
 def test_variance_norms_into_reused_buffer(selected):
-    # the kernel as first written, with fresh temporaries; selected columns change the memory
-    # layout of the windows, and with it the order in which each window's mean sums
-    def fresh(values, w):
-        blocks = np.lib.stride_tricks.sliding_window_view(values, w, axis=0)
-        mean = blocks.mean(axis=-1, keepdims=True)
-        return np.linalg.norm(np.mean((blocks - mean) ** 2, axis=-1), axis=1)
-
+    # the two windows the indicators read, on a batch, against the sliding-window kernel per trajectory;
+    # selected columns change the memory layout of the windows, and with it the order in which a mean sums
     rng = np.random.default_rng(2)
     series = rng.standard_normal((3, 60, 16))
     if selected:
         series = series[..., [0, 5, 10, 15]]
     for w in (1, 10, 60):
-        buffer = np.empty_like(np.lib.stride_tricks.sliding_window_view(series[0], w, axis=0))
-        for values in series:
-            assert np.array_equal(em._variance_norms(values, w, buffer), fresh(values, w))
+        first, last = em._window_variance(series, w - 1, w), em._window_variance(series, 59, w)
+        for k, values in enumerate(series):
+            every = sliding_variance_norms(values, w)
+            assert np.array_equal(first[k], every[0])
+            assert np.array_equal(last[k], every[-1])
 
 
 def test_esp_indicator_scales_with_distance():
@@ -106,60 +110,74 @@ def test_ns_indicator_matches_written_out_formula():
         assert abs(em.ns_esp_indicator(a, b, 0.5, w, t) - esp * np.sqrt(v_ref / v_now)) < 1e-12 * esp
 
 
+def test_ns_indicator_matches_full_trace_at_every_time():
+    # the indicators as whole traces, from the variance of every window, read at each time
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((50, 4)) * np.linspace(2.0, 0.5, 50)[:, None]
+    b = rng.standard_normal((50, 4))
+    for w in (1, 7, 50):
+        esp = np.linalg.norm(a - b, axis=1) / 0.5
+        vmin = np.minimum(sliding_variance_norms(a, w), sliding_variance_norms(b, w))
+        ns = np.where(vmin < em.VARIANCE_UNDERFLOW, np.inf,
+                      esp[w - 1 :] * np.sqrt(vmin[0] / np.maximum(vmin, em.VARIANCE_UNDERFLOW)))
+        for t in range(w - 1, 50):
+            assert em.esp_indicator(a, b, 0.5, t) == esp[t]
+            assert em.ns_esp_indicator(a, b, 0.5, w, t) == ns[t - w + 1]
+
+
 def test_ns_indicator_time_validation():
     a = np.zeros((20, 2))
     with pytest.raises(ValueError):
         em.ns_esp_indicator(a, a + 1, 1.0, w=10, t=5)
 
 
-def test_indicator_trace_final_values():
-    trace = em.IndicatorTrace(
-        esp_values=np.array([1.0, 0.5, 0.25]),
-        ns_values=np.array([2.0, 1.0, 0.5]),
-    )
-    assert trace.final_esp == 0.25
-    assert trace.final_ns == 0.5
-
-
 def test_indicator_ensemble_contracting_model_decays():
     model = rv.DepolarizingReservoir(0.5)
-    trace = em.indicator_ensemble(
-        model, n_inputs=2, n_states=2, seq_len=60, w=10, rng=np.random.default_rng(4)
+    short, long = (
+        em.indicator_ensemble(model, n_inputs=2, n_states=2, seq_len=seq_len, w=10, rng=np.random.default_rng(4))
+        for seq_len in (10, 60)
     )
-    assert trace.final_esp < 1e-6
-    assert trace.esp_values[0] > trace.final_esp
+    assert long.final_esp < 1e-6
+    assert short.final_esp > 1e3 * long.final_esp
 
 
 def test_indicator_ensemble_pair_count_independence_of_order():
-    # same rng seed gives identical traces (pure function of the draw)
+    # same rng seed gives identical indicators (pure function of the draw)
     model = rv.DepolarizingReservoir(0.3)
     t1 = em.indicator_ensemble(model, 2, 2, 40, 10, np.random.default_rng(5))
     t2 = em.indicator_ensemble(model, 2, 2, 40, 10, np.random.default_rng(5))
-    assert np.array_equal(t1.esp_values, t2.esp_values)
-    assert np.array_equal(t1.ns_values, t2.ns_values)
+    assert t1.final_esp == t2.final_esp
+    assert t1.final_ns == t2.final_ns
 
 
 @pytest.mark.parametrize("columns", [None, [0, 3, 6, 9, 12]])
 def test_indicator_ensemble_matches_per_trajectory_loop(columns):
-    # the one-trajectory-at-a-time loop the batched ensemble replaced, written out;
-    # with 3 inputs and 2 states, pairing sequences and states the other way round fails
+    # one trajectory at a time and one pair at a time, summed in sequence, written out;
+    # with 4 inputs and 3 states, pairing sequences and states the other way round fails, and so does
+    # a pairwise sum of the 12 pair values
     model = rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth=1.3, polar=0.9)))
-    n_inputs, n_states, seq_len, w = 3, 2, 40, 6
+    n_inputs, n_states, seq_len, w = 4, 3, 40, 6
     rng = np.random.default_rng(12)
     input_sets = rng.uniform(-1.0, 1.0, size=(n_inputs, seq_len))
     states = [qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(n_states)]
-    esp_sum, ns_sum, count = np.zeros(seq_len), np.zeros(seq_len - w + 1), 0
+    esp_sum, ns_sum, count = 0.0, 0.0, 0
     for inputs in input_sets:
-        rows = [em._selected(rv.run_reservoir(model, inputs, rho), columns) for rho in states]
-        variances = [em._variance_norms(r, w) for r in rows]
+        rows = [rv.run_reservoir(model, inputs, rho) for rho in states]
         for i, j in combinations(range(n_states), 2):
-            esp = em._esp_trace(rows[i], rows[j], qmat.hilbert_schmidt_distance(states[i], states[j]))
-            esp_sum += esp
-            ns_sum += em._ns_trace(esp, variances[i], variances[j])
+            s0_dist = qmat.hilbert_schmidt_distance(states[i], states[j])
+            esp_sum += em.esp_indicator(rows[i], rows[j], s0_dist, seq_len - 1, columns)
+            ns_sum += em.ns_esp_indicator(rows[i], rows[j], s0_dist, w, seq_len - 1, columns)
             count += 1
     trace = em.indicator_ensemble(model, n_inputs, n_states, seq_len, w, np.random.default_rng(12), columns)
-    assert np.array_equal(trace.esp_values, esp_sum / count)
-    assert np.array_equal(trace.ns_values, ns_sum / count)
+    assert trace.final_esp == esp_sum / count
+    assert trace.final_ns == ns_sum / count
+
+
+def test_ensemble_trace_rejects_window_longer_than_trajectory():
+    inputs, rho0 = em.ensemble_draws(2, 1, 2, 8, np.random.default_rng(0))
+    traj = rv.run_reservoir(rv.DepolarizingReservoir(0.3), inputs, rho0)
+    with pytest.raises(ValueError, match="lacks a full window"):
+        em.ensemble_trace(traj, rho0, 2, 9)
 
 
 def test_subset_indicator_ensemble_rejects_empty_selection():

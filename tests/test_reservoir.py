@@ -388,3 +388,7 @@ def test_classical_config_validation():
         rv.ClassicalRefConfig(kind="warped")
     with pytest.raises(ValueError):
         rv.ClassicalRefConfig(size=0)
+    for kind in ("biased", "scaled"):
+        for rate in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="rate"):
+                rv.ClassicalRefConfig(kind=kind, rate=rate)

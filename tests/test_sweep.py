@@ -1,6 +1,10 @@
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -363,6 +367,16 @@ def test_cli_runs_and_writes(tmp_path):
     assert code == sweep.EXIT_OK
     header, rows, errors = sweep.parse_field_csv(str(out))
     assert len(rows) == 4
+
+
+def test_cli_module_entry_point_runs_without_warning():
+    # `python -m qresp.sweep` must not find the module already imported by the package
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qresp.sweep", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "qresp-sweep" in proc.stdout
 
 
 def test_evaluate_point_reports_metric_set(tmp_path):
