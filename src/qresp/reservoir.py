@@ -4,7 +4,9 @@ Two quantum models are provided:
 
 * ``NsReservoir`` -- an SK-Hamiltonian reservoir driven by reset-input
   encoding: one subsystem is replaced each step by an input-parametrized
-  pure state, then the whole register evolves under exp(-iH).
+  pure state, then the whole register evolves under exp(-iH).  The state
+  of each reset qubit is sigma(u) = c c^dag, with c = U(u)|0> and
+  U(u) = U3^dag Rz(arccos u) U3 built with one matmul.
 * ``SubsetReservoir`` -- a two-qubit reservoir with local random
   unitaries, amplitude damping on qubit 0 and a fractional-CNOT
   entangler, driven by a product R_Y input rotation.
@@ -37,14 +39,6 @@ from . import qmat
 
 # ---------------------------------------------------------------------------
 # single-qubit rotations (half-angle convention)
-
-def rz(angle) -> np.ndarray:
-    """Rotation about Z by `angle` on the Bloch sphere; (..., 2, 2) for an array of angles."""
-    out = np.zeros(np.shape(angle) + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-0.5j * angle)
-    out[..., 1, 1] = np.exp(0.5j * angle)
-    return out
-
 
 def ry(angle) -> np.ndarray:
     """Rotation about Y by `angle` on the Bloch sphere; (..., 2, 2) for an array of angles."""
@@ -188,43 +182,34 @@ def build_sk_hamiltonian(cfg: SkHamiltonianConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # reset-input encoding
 
-def axis_to_euler(axis: AxisConfig) -> tuple[float, float, float]:
-    """Angles (Theta, Phi, Lambda) such that u3(...) maps the axis operator onto Z.
+def axis_frame_unitary(axis: AxisConfig) -> np.ndarray:
+    """u3(Theta, Phi, Lambda) for the axis: satisfies U3 (n . sigma) U3^dag = Z.
 
     Theta is the polar angle; Lambda = pi - azimuth carries the azimuth
     (it acts innermost in the u3 factorization, so it is the angle that
     rotates the axis into the x-z plane); Phi = azimuth - pi is a gauge
     choice that makes u3 the identity at the north pole.
     """
-    return axis.polar, axis.azimuth - np.pi, np.pi - axis.azimuth
-
-
-def u3(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ]
-    )
-
-
-def axis_frame_unitary(axis: AxisConfig) -> np.ndarray:
-    """u3 for the axis: satisfies U3 (n . sigma) U3^dag = Z."""
-    return u3(*axis_to_euler(axis))
+    phi, lam = axis.azimuth - np.pi, np.pi - axis.azimuth
+    c, s = np.cos(axis.polar / 2), np.sin(axis.polar / 2)
+    return np.array([[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]])
 
 
 def input_unitary(u, axis: AxisConfig) -> np.ndarray:
-    """Rotation by arccos(u) about the given axis: U3^dag Rz(arccos u) U3."""
+    """Rotation by theta = arccos(u) about the given axis, U3^dag Rz(theta) U3, shape np.shape(u) + (2, 2):
+    the diagonal Rz(theta) = diag(e^{-i theta/2}, e^{i theta/2}) scales the columns of U3^dag, one matmul."""
     _check_inputs(u)
     frame = axis_frame_unitary(axis)
-    return frame.conj().T @ rz(np.arccos(u)) @ frame
+    theta = np.arccos(u)
+    rz = np.stack([np.exp(-0.5j * theta), np.exp(0.5j * theta)], axis=-1)
+    return (frame.conj().T * rz[..., None, :]) @ frame
 
 
 def encoded_state(u, axis: AxisConfig, n_qubits: int = 1) -> np.ndarray:
-    """sigma_A(u; axis) = U |0><0|^{tensor n} U^dag with the same U on each qubit."""
-    enc = input_unitary(u, axis)
-    single = enc @ np.diag([1.0 + 0j, 0.0]) @ enc.conj().swapaxes(-1, -2)
+    """sigma_A(u; axis) = U |0><0|^{tensor n} U^dag with the same U on each qubit: per qubit the
+    outer product c c^dag of c = U|0>, the first column of U = `input_unitary(u, axis)`."""
+    c = input_unitary(u, axis)[..., :, 0]
+    single = c[..., :, None] * c.conj()[..., None, :]
     sigma = single
     for _ in range(n_qubits - 1):
         sigma = qmat.kron(sigma, single)

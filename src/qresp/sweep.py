@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,6 +71,10 @@ EXIT_CONFIG_ERROR = 1
 EXIT_PARTIAL_FAILURE = 2
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: experiment grid, metric set and per-metric sequence lengths.
@@ -111,6 +115,13 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "metrics", tuple(self.metrics))
         object.__setattr__(self, "ipc_budget", tuple(tuple(pair) for pair in self.ipc_budget))
+        for f in fields(self):  # a float or bool here would fail at every grid point
+            if f.type in ("int", int) and not _is_int(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        if not all(_is_int(x) for pair in self.ipc_budget for x in pair):
+            raise ValueError(f"ipc_budget entries must be integers, got {self.ipc_budget}")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be nonnegative")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.metrics:

@@ -150,27 +150,29 @@ def test_indicator_ensemble_pair_count_independence_of_order():
     assert t1.final_ns == t2.final_ns
 
 
-@pytest.mark.parametrize("columns", [None, [0, 3, 6, 9, 12]])
+@pytest.mark.parametrize("columns", [None, [0, 3, 6, 9, 12], em.entangling_selection(qmat.all_pauli_strings(2))])
 def test_indicator_ensemble_matches_per_trajectory_loop(columns):
     # one trajectory at a time and one pair at a time, summed in sequence, written out;
     # with 4 inputs and 3 states, pairing sequences and states the other way round fails, and so does
-    # a pairwise sum of the 12 pair values
+    # a pairwise sum of the 12 pair values; on the 9 entangling columns, seeds 1 (esp) and 2 (ns) fail
+    # if a pair and a batch sum their selected columns in different orders
     model = rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth=1.3, polar=0.9)))
     n_inputs, n_states, seq_len, w = 4, 3, 40, 6
-    rng = np.random.default_rng(12)
-    input_sets = rng.uniform(-1.0, 1.0, size=(n_inputs, seq_len))
-    states = [qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(n_states)]
-    esp_sum, ns_sum, count = 0.0, 0.0, 0
-    for inputs in input_sets:
-        rows = [rv.run_reservoir(model, inputs, rho) for rho in states]
-        for i, j in combinations(range(n_states), 2):
-            s0_dist = qmat.hilbert_schmidt_distance(states[i], states[j])
-            esp_sum += em.esp_indicator(rows[i], rows[j], s0_dist, seq_len - 1, columns)
-            ns_sum += em.ns_esp_indicator(rows[i], rows[j], s0_dist, w, seq_len - 1, columns)
-            count += 1
-    trace = em.indicator_ensemble(model, n_inputs, n_states, seq_len, w, np.random.default_rng(12), columns)
-    assert trace.final_esp == esp_sum / count
-    assert trace.final_ns == ns_sum / count
+    for seed in (12, 1, 2):
+        rng = np.random.default_rng(seed)
+        input_sets = rng.uniform(-1.0, 1.0, size=(n_inputs, seq_len))
+        states = [qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(n_states)]
+        esp_sum, ns_sum, count = 0.0, 0.0, 0
+        for inputs in input_sets:
+            rows = [rv.run_reservoir(model, inputs, rho) for rho in states]
+            for i, j in combinations(range(n_states), 2):
+                s0_dist = qmat.hilbert_schmidt_distance(states[i], states[j])
+                esp_sum += em.esp_indicator(rows[i], rows[j], s0_dist, seq_len - 1, columns)
+                ns_sum += em.ns_esp_indicator(rows[i], rows[j], s0_dist, w, seq_len - 1, columns)
+                count += 1
+        trace = em.indicator_ensemble(model, n_inputs, n_states, seq_len, w, np.random.default_rng(seed), columns)
+        assert trace.final_esp == esp_sum / count, seed
+        assert trace.final_ns == ns_sum / count, seed
 
 
 def test_ensemble_trace_rejects_window_longer_than_trajectory():

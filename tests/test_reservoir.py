@@ -105,6 +105,38 @@ def test_input_unitary_rejects_out_of_range():
         rv.input_unitary(np.array([0.1, np.nan]), rv.AxisConfig())
 
 
+def test_encoding_is_its_matrix_product_definition_bit_for_bit():
+    # oracle: U = U3^dag Rz(arccos u) U3 with Rz a full diagonal matrix, and sigma = U diag(1, 0) U^dag;
+    # the column scaling and the outer product c c^dag take the same products, bar the signs of zeros
+    def oracle(u, axis):
+        frame = rv.axis_frame_unitary(axis)
+        theta = np.arccos(u)
+        rz = np.zeros(np.shape(u) + (2, 2), dtype=complex)
+        rz[..., 0, 0], rz[..., 1, 1] = np.exp(-0.5j * theta), np.exp(0.5j * theta)
+        unitary = frame.conj().T @ rz @ frame
+        return unitary, unitary @ np.diag([1.0 + 0j, 0.0]) @ unitary.conj().swapaxes(-1, -2)
+
+    rng = np.random.default_rng(14)
+    polars = np.linspace(0.0, np.pi, 6)  # the 12x6 benchmark grid, both poles included
+    azimuths = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+    for polar in polars:
+        for azimuth in azimuths:
+            axis = rv.AxisConfig(azimuth=azimuth, polar=polar)
+            for shape in ((), (64,), (64, 12)):
+                u = rng.uniform(-1.0, 1.0, shape)
+                u.flat[:3] = (-1.0, 0.0, 1.0)[:u.size]
+                unitary, sigma = oracle(u, axis)
+                assert np.array_equal(rv.input_unitary(u, axis), unitary)
+                assert np.array_equal(rv.encoded_state(u, axis), sigma)
+                if shape == (64,):  # a 2-qubit reset: the same state on each qubit
+                    assert np.array_equal(rv.encoded_state(u, axis, n_qubits=2), qmat.kron(sigma, sigma))
+    axis = rv.AxisConfig(azimuth=2.1, polar=0.7)
+    for u in (-1.0, 0.0, 1.0):  # a float input gives a single matrix
+        unitary, sigma = oracle(u, axis)
+        assert np.array_equal(rv.input_unitary(u, axis), unitary)
+        assert np.array_equal(rv.encoded_state(u, axis), sigma)
+
+
 def test_encoded_state_expectation_along_z_axis():
     # at the +Z axis the rotation is about Z and leaves |0><0| untouched
     axis = rv.AxisConfig(polar=0.0)

@@ -69,6 +69,16 @@ def test_config_validation():
         sweep.SweepConfig(preset="H9")
     with pytest.raises(ValueError):
         sweep.SweepConfig(workers=0)
+    # a negative seed or a non-integer count would fail at every grid point
+    with pytest.raises(ValueError, match="seed -1 must be nonnegative"):
+        sweep.SweepConfig(seed=-1)
+    for name, value in (("seed", 1.0), ("indicator_len", 20.0), ("mc_max_delay", 5.5), ("workers", True),
+                        ("azimuth_count", np.int64(4))):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sweep.SweepConfig(**{name: value})
+    for budget in (((1.0, 5),), ((1, 5.0),)):
+        with pytest.raises(ValueError, match="ipc_budget entries must be integers"):
+            sweep.SweepConfig(metrics=("esp",), ipc_budget=budget)
     # configs that would fail at every grid point, refused only where a metric reads the field
     with pytest.raises(ValueError, match="mc_washout 20 .* mc_max_delay 50"):
         sweep.SweepConfig(metrics=("mc",), mc_washout=20, mc_max_delay=50)
@@ -320,9 +330,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         dict(metrics=["narma2"], narma_len=2),
         dict(metrics=["narma10"], narma_len=10),
         dict(metrics=["narma2"], narma_len=10),
+        dict(seed=-1),
+        dict(seed=1.0),
+        dict(indicator_len=20.0),
+        dict(metrics=["mc"], mc_len=300, mc_washout=100, mc_max_delay=5.5),
+        dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1.0, 5]]),
     ):
         bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"), **fields)))
         assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
+    bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"))))
+    assert sweep.main(["--config", str(bad), "--seed", "-1"]) == sweep.EXIT_CONFIG_ERROR
     assert not (tmp_path / "y.csv").exists()
     # resuming a checkpoint written with another seed
     bad.write_text(json.dumps(small))
