@@ -48,7 +48,7 @@ def narma_generate(inputs, order: int) -> np.ndarray:
     u = np.asarray(inputs, dtype=float)
     if u.shape[-1] <= order:
         raise ValueError("input sequence must be longer than the order")
-    if u.min() < 0.0 or u.max() > 0.5:
+    if not ((u >= 0.0) & (u <= 0.5)).all():  # nan fails both comparisons
         raise ValueError("NARMA inputs must lie in [0, 0.5]")
     drive = np.zeros(u.shape)
     drive[..., order:] = 1.5 * (u[..., order - 1 : -1] * u[..., : -order])
@@ -68,22 +68,20 @@ def narma_generate(inputs, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Washout / train / test partition as fractions of the sequence."""
+    """Washout / train / test partition: the washout is a fraction of the
+    sequence, and training takes 0.8 of what follows it."""
 
     washout_fraction: float = 0.5
-    train_fraction_of_remainder: float = 0.8
 
     def __post_init__(self):
         if not 0.0 < self.washout_fraction < 1.0:
             raise ValueError("washout_fraction must lie in (0, 1)")
-        if not 0.0 < self.train_fraction_of_remainder < 1.0:
-            raise ValueError("train_fraction_of_remainder must lie in (0, 1)")
 
     def boundaries(self, length: int) -> tuple[int, int]:
         """(train_start, test_start) indices."""
         washout_end = int(length * self.washout_fraction)
         remainder = length - washout_end
-        train_end = washout_end + int(remainder * self.train_fraction_of_remainder)
+        train_end = washout_end + int(remainder * 0.8)
         if washout_end == 0 or train_end <= washout_end or train_end >= length:
             raise ValueError(f"split produces an empty segment for length {length}")
         return washout_end, train_end
@@ -144,12 +142,15 @@ def _svd_basis(x: np.ndarray, rel_cut: float) -> np.ndarray:
 
 def _capacity_basis(inputs, features, washout: int, max_delay: int) -> tuple[np.ndarray, np.ndarray]:
     """The float inputs and an orthonormal basis Q of the mean-centered
-    post-washout features, after checking that the inputs align with the
-    feature rows and that the washout holds the history of every delay."""
+    post-washout features, after checking that the inputs are finite, align
+    with the feature rows, and that the washout holds every delay's history."""
     inputs = np.asarray(inputs, dtype=float)
     x = np.asarray(features, dtype=float)
     if len(inputs) != len(x):
         raise ValueError(f"{len(inputs)} inputs do not match {len(x)} feature rows")
+    bad = np.flatnonzero(~np.isfinite(inputs))
+    if len(bad):
+        raise ValueError(f"input {inputs[bad[0]]} at index {bad[0]} is not finite")
     if washout < 0 or washout >= len(x):
         raise ValueError(f"washout {washout} leaves no data in {len(x)} rows")
     if washout < max_delay:
@@ -248,9 +249,13 @@ def mc_report(inputs, features, max_delay: int, washout: int) -> McResult:
 # ---------------------------------------------------------------------------
 # IPC over a Legendre basis
 
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IpcConfig:
-    """Degree/delay budget, with (degree, max_delay) pairs covering each degree."""
+    """Degree/delay budget, one (degree, max_delay) pair for each degree it covers."""
 
     budget: tuple[tuple[int, int], ...] = ((1, 300), (2, 100), (3, 30), (4, 10), (5, 10))
     surrogate_count: int = 100
@@ -258,8 +263,14 @@ class IpcConfig:
     def __post_init__(self):
         if not self.budget:
             raise ValueError("budget must contain at least one (degree, max_delay) pair")
+        if not all(is_int(x) for pair in self.budget for x in pair):
+            raise ValueError(f"budget degrees and delays must be integers, got {self.budget}")
         if any(d < 1 or m < 0 for d, m in self.budget):
             raise ValueError("degrees must be >= 1 and delays >= 0")
+        if len({d for d, _ in self.budget}) != len(self.budget):  # its components would count twice
+            raise ValueError(f"budget repeats a degree: {self.budget}")
+        if not is_int(self.surrogate_count):
+            raise ValueError(f"surrogate_count must be an integer, got {self.surrogate_count!r}")
         if self.surrogate_count < 0:
             raise ValueError("surrogate_count must be nonnegative")
 

@@ -36,24 +36,19 @@ def n_qubits_of(matrix: np.ndarray) -> int:
     return n
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_floor: float = EIGENVALUE_FLOOR,
-) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is Hermitian, trace-one and PSD to tolerance."""
     if not np.all(np.isfinite(rho.view(float))):
         raise ValueError("density matrix has non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
-        raise ValueError(f"not Hermitian: deviation {herm:.3e} > {herm_tol:.0e}")
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian: deviation {herm:.3e} > {HERMITICITY_TOL:.0e}")
     tr = rho.trace()
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from 1 beyond {trace_tol:.0e}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL:.0e}")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < eig_floor:
-        raise ValueError(f"minimum eigenvalue {lo:.3e} below floor {eig_floor:.0e}")
+    if lo < EIGENVALUE_FLOOR:
+        raise ValueError(f"minimum eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR:.0e}")
 
 
 def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:

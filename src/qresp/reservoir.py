@@ -321,16 +321,16 @@ class SubsetReservoir:
 
 
 class DepolarizingReservoir:
-    """Toy channel rho -> (1-eps) U rho U^dag + eps I/d; trace distance to I/d decays as (1-eps)^t."""
+    """Toy channel rho -> (1-eps) U rho U^dag + eps I/4 on two qubits, with U the
+    Haar-random unitary of seed 0; trace distance to I/4 decays as (1-eps)^t."""
 
-    def __init__(self, epsilon: float, n_qubits: int = 2, seed: int = 0):
+    def __init__(self, epsilon: float):
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon {epsilon} outside [0, 1]")
         self.epsilon = epsilon
-        self.n_qubits = n_qubits
-        dim = 2**n_qubits
-        self.unitary = qmat.haar_random_unitary(dim, np.random.default_rng(seed))
-        self.mixed = np.eye(dim, dtype=complex) / dim
+        self.n_qubits = 2
+        self.unitary = qmat.haar_random_unitary(4, np.random.default_rng(0))
+        self.mixed = np.eye(4, dtype=complex) / 4
 
     def encode(self, u):  # the channel does not depend on its input
         return u
@@ -405,9 +405,6 @@ class ClassicalRefConfig:
 
     kind: str = "plain"  # plain | scaled | biased
     rate: float = 1.0  # c for scaled, b for biased
-    size: int = 20
-    spectral_radius: float = 0.9
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("plain", "scaled", "biased"):
@@ -416,25 +413,21 @@ class ClassicalRefConfig:
             raise ValueError("rate must be finite")
         if self.kind == "scaled" and self.rate <= 0:
             raise ValueError("scaled system requires a positive rate")
-        if self.size < 1:
-            raise ValueError("reservoir size must be positive")
-        if not 0.0 < self.spectral_radius < 1.0:
-            raise ValueError("inner map must be contracting (spectral radius in (0, 1))")
 
 
 def run_classical_reference(config: ClassicalRefConfig, inputs, y0) -> np.ndarray:
-    """Trajectory y_1..y_T (time-major) of x_{t+1} = tanh(W x_t + w_in u_t),
-    wrapped by scaling c^t or bias b t."""
-    rng = np.random.default_rng(config.seed)
-    w = rng.standard_normal((config.size, config.size))
-    w = w * (config.spectral_radius / np.max(np.abs(np.linalg.eigvals(w))))
-    w_in = rng.standard_normal(config.size)
+    """Trajectory y_1..y_T (time-major) of x_{t+1} = tanh(W x_t + w_in u_t), wrapped by
+    scaling c^t or bias b t: 20 nodes, W drawn with seed 0 at spectral radius 0.9."""
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((20, 20))
+    w = w * (0.9 / np.max(np.abs(np.linalg.eigvals(w))))
+    w_in = rng.standard_normal(20)
 
     def inner(x: np.ndarray, u: float) -> np.ndarray:
         return np.tanh(w @ x + w_in * u)
 
     inputs = np.asarray(inputs, dtype=float)
-    out = np.empty((len(inputs), config.size))
+    out = np.empty((len(inputs), len(w)))
     y = np.asarray(y0, dtype=float)
     for t, u in enumerate(inputs):
         if config.kind == "scaled":

@@ -71,10 +71,6 @@ EXIT_CONFIG_ERROR = 1
 EXIT_PARTIAL_FAILURE = 2
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: experiment grid, metric set and per-metric sequence lengths.
@@ -113,12 +109,14 @@ class SweepConfig:
     ipc_surrogates: int = 20
 
     def __post_init__(self):
+        if isinstance(self.metrics, str):  # tuple() would split it into letters
+            raise ValueError(f"metrics must be a sequence of names, got the string {self.metrics!r}")
         object.__setattr__(self, "metrics", tuple(self.metrics))
         object.__setattr__(self, "ipc_budget", tuple(tuple(pair) for pair in self.ipc_budget))
         for f in fields(self):  # a float or bool here would fail at every grid point
-            if f.type in ("int", int) and not _is_int(getattr(self, f.name)):
+            if f.type in ("int", int) and not benchmarks.is_int(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
-        if not all(_is_int(x) for pair in self.ipc_budget for x in pair):
+        if not all(benchmarks.is_int(x) for pair in self.ipc_budget for x in pair):
             raise ValueError(f"ipc_budget entries must be integers, got {self.ipc_budget}")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be nonnegative")
@@ -129,6 +127,8 @@ class SweepConfig:
         unknown = [m for m in self.metrics if m not in METRICS]
         if unknown:
             raise ValueError(f"unknown metrics {unknown}")
+        if len(set(self.metrics)) != len(self.metrics):  # the field would repeat a column
+            raise ValueError(f"metrics repeat a name: {list(self.metrics)}")
         if self.preset not in HAMILTONIAN_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if min(self.azimuth_count, self.polar_count, self.gamma_count, self.p_count) < 2:

@@ -41,6 +41,11 @@ def test_narma_input_domain_validation():
         bm.narma_generate(np.full(10, 0.25), 1)
     with pytest.raises(ValueError):
         bm.narma_generate(np.full(3, 0.25), 5)
+    for bad in (np.nan, np.inf, -np.inf):  # nan passes a min/max range test
+        u = np.full((2, 3, 50), 0.25)
+        u[1, 2, 10] = bad
+        with pytest.raises(ValueError, match=r"inputs must lie in \[0, 0.5\]"):
+            bm.narma_generate(u, 2)
 
 
 def test_narma_divergence_reports_step():
@@ -85,7 +90,7 @@ def test_narma_stack_names_first_diverging_step():
 
 
 def test_split_boundaries():
-    split = bm.SplitSpec(washout_fraction=0.5, train_fraction_of_remainder=0.8)
+    split = bm.SplitSpec(washout_fraction=0.5)
     train_start, test_start = split.boundaries(1000)
     assert train_start == 500
     assert test_start == 900
@@ -157,6 +162,11 @@ def test_mc_report_aggregates():
     assert rep.max_linear_delay == 4
     with pytest.raises(ValueError, match="washout"):  # delays 6-10 would lack their history
         bm.mc_report(u, feats, max_delay=10, washout=5)
+    for bad in (np.nan, np.inf, -np.inf):  # would read a nan total
+        v = u.copy()
+        v[[70, 300]] = bad
+        with pytest.raises(ValueError, match=f"input {bad} at index 70 is not finite"):
+            bm.mc_report(v, feats, max_delay=8, washout=100)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +449,15 @@ def test_ipc_config_validation():
         bm.IpcConfig(budget=((0, 5),))
     with pytest.raises(ValueError):
         bm.IpcConfig(budget=((1, 5),), surrogate_count=-1)
+    for budget in (((1, 5), (1, 5)), ((1, 5), (2, 3), (1, 3))):  # would count degree 1 twice
+        with pytest.raises(ValueError, match="budget repeats a degree"):
+            bm.IpcConfig(budget=budget)
+    for budget in (((1.5, 2),), ((1.0, 2),), ((1, 2.0),), ((True, 2),), ((1, np.int64(2)),)):
+        with pytest.raises(ValueError, match="budget degrees and delays must be integers"):
+            bm.IpcConfig(budget=budget)
+    for count in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="surrogate_count must be an integer"):
+            bm.IpcConfig(surrogate_count=count)
 
 
 # ---------------------------------------------------------------------------

@@ -418,8 +418,6 @@ def test_classical_biased_identity():
 def test_classical_config_validation():
     with pytest.raises(ValueError):
         rv.ClassicalRefConfig(kind="warped")
-    with pytest.raises(ValueError):
-        rv.ClassicalRefConfig(size=0)
     for kind in ("biased", "scaled"):
         for rate in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="rate"):

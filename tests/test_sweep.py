@@ -65,6 +65,10 @@ def test_config_validation():
         sweep.SweepConfig(metrics=())
     with pytest.raises(ValueError):
         sweep.SweepConfig(metrics=("esp", "bogus"))
+    with pytest.raises(ValueError, match="metrics repeat a name"):  # would write two esp columns
+        sweep.SweepConfig(metrics=("esp", "ns_esp", "esp"))
+    with pytest.raises(ValueError, match="metrics must be a sequence of names"):  # not the letters e, s, p
+        sweep.SweepConfig(metrics="esp")
     with pytest.raises(ValueError):
         sweep.SweepConfig(preset="H9")
     with pytest.raises(ValueError):
@@ -335,6 +339,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         dict(indicator_len=20.0),
         dict(metrics=["mc"], mc_len=300, mc_washout=100, mc_max_delay=5.5),
         dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1.0, 5]]),
+        dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1, 5], [1, 3]]),
+        dict(metrics=["esp", "esp"]),
+        dict(metrics="esp"),
     ):
         bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"), **fields)))
         assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
