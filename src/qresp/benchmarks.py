@@ -263,6 +263,8 @@ class IpcConfig:
     def __post_init__(self):
         if not self.budget:
             raise ValueError("budget must contain at least one (degree, max_delay) pair")
+        if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in self.budget):
+            raise ValueError(f"budget entries must be (degree, max_delay) pairs, got {self.budget}")
         if not all(is_int(x) for pair in self.budget for x in pair):
             raise ValueError(f"budget degrees and delays must be integers, got {self.budget}")
         if any(d < 1 or m < 0 for d, m in self.budget):

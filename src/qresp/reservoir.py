@@ -17,10 +17,19 @@ each trajectory of a stack goes through the numpy calls a single one does.
 ``run_reservoir`` returns the readout as a plain float array, one column per
 Pauli string of ``qmat.all_pauli_strings``.  It has one loop for every model,
 state <- evolve(state, encode(u)), with one ``encode`` and one readout per
-64 steps.  The state is a density matrix, except on ``SubsetReservoir``:
-its ``encode`` gives the real 16x16 transfer maps T(u) and its state is the
-Pauli vector, the readout itself; its density-matrix ``step`` stays the
-definition those maps agree with to rounding.
+64 steps.  The state is a density matrix, except on two real maps whose
+``encode`` is their ``transfer``:
+
+* ``SubsetReservoir``: the 16x16 maps T(u); the state is the Pauli vector,
+  the readout itself.
+* ``KeptMap``, an ``NsReservoir``'s ``kept``: the reset discards A each
+  step, so the state is the Pauli vector of the kept qubits, 4**(n - |A|)
+  numbers (4 at n = 2), and each step is read out from the state before it
+  and its input.  Only ESP and NS-ESP ensembles step it (see
+  ``espmetrics.stepped``); every other run of an ``NsReservoir`` steps rho.
+
+Each density-matrix ``step`` stays the definition these maps agree with to
+rounding.
 
 ``run_classical_reference`` runs contracting tanh echo-state networks
 with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t),
@@ -31,6 +40,7 @@ used in the property suites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,6 +58,16 @@ def ry(angle) -> np.ndarray:
     out[..., 0, 1] = -s
     out[..., 1, 0] = s
     return out
+
+
+def input_features(u, copies: int = 1) -> np.ndarray:
+    """c(u) = (1, u, sqrt(1 - u^2)) on a new last axis, or for `copies` > 1 the products of one entry of each
+    copy, 3**copies of them in product order: a transfer map is linear in these.  Inputs are not checked."""
+    c = np.stack([np.ones_like(u), u, np.sqrt(1.0 - u * u)], axis=-1)
+    features = c
+    for _ in range(copies - 1):
+        features = (features[..., :, None] * c[..., None, :]).reshape(c.shape[:-1] + (-1,))
+    return features
 
 
 def _check_inputs(u) -> None:
@@ -257,6 +277,66 @@ class NsReservoir:
     def step(self, rho: np.ndarray, u) -> np.ndarray:
         return self.evolve(rho, self.encode(u))
 
+    @cached_property
+    def kept(self) -> KeptMap:
+        """This reservoir on its kept subsystem, built on first use from the Pauli transfer matrix of
+        exp(-iH) and the Bloch terms of sigma(u): `step` to rounding, on 4**(n - |A|) real numbers."""
+        n, reset = self.n_qubits, self.config.reset_subsystem
+        ops = pauli_operators(n)
+        transfer = pauli_expectations(self.unitary @ ops @ self.unitary_dag, ops).T / 2**n
+        # sigma(u) = (I + b.sigma) / 2, b = z rotated by arccos u about the axis a:
+        # b = (a.z) a + u (z - (a.z) a) + sqrt(1 - u^2) a x z
+        a = self.config.axis.unit_vector
+        bloch = np.array([[1.0, *(a[2] * a)], [0.0, *(np.eye(3)[2] - a[2] * a)], [0.0, a[1], -a[0], 0.0]])
+        sigma = bloch
+        for _ in reset[1:]:  # the Pauli vector of sigma_A is the kron of its qubits', term by term
+            sigma = (sigma[:, None, :, None] * bloch[None, :, None, :]).reshape(len(sigma) * 3, -1)
+        # tr(P rho) of tr_A(rho) (x) sigma_A is k_K s_A, for P = K on the kept qubits and A on the reset ones
+        order = [q for q in range(n) if q not in reset] + list(reset)
+        by_factor = transfer.reshape((4**n,) + (4,) * n).transpose(0, *(1 + q for q in order))
+        terms = by_factor.reshape(4**n, -1, len(sigma[0])) @ sigma.T
+        columns = [i for i, s in enumerate(qmat.all_pauli_strings(n)) if all(s[q] == "I" for q in reset)]
+        return KeptMap(np.moveaxis(terms, -1, 0), columns, n, len(reset))
+
+
+class KeptMap:
+    """An ``NsReservoir`` on its kept subsystem, the qubits outside the reset subsystem A.
+
+    The reset discards A each step, so the kept Pauli vector k, the readout columns P (x) I_A in
+    `columns`, carries the memory.  A step with input u reads out y = sum_f c_f(u) R_f k from the
+    state before it, with c(u) = `input_features(u, |A|)` and R_f the 4**n x len(k) slices of
+    `terms`; the next k is the kept rows of y, so the kept maps A_f are the kept rows of the R_f.
+    Leading axes of `terms` broadcast against the batch: a stack of maps runs one per point.
+    """
+
+    def __init__(self, terms: np.ndarray, columns, n_qubits: int, reset_count: int):
+        self.terms, self.columns, self.n_qubits, self.reset_count = terms, columns, n_qubits, reset_count
+        lead, (count, rows, kept) = terms.shape[:-3], terms.shape[-3:]
+        self.maps = terms[..., columns, :].reshape(lead + (count, kept * kept))
+        self.readout_terms = terms.swapaxes(-1, -2).reshape(lead + (count * kept, rows))
+
+    def transfer(self, u) -> np.ndarray:
+        """The kept maps sum_f c_f(u) A_f, shape np.shape(u) + (K, K).  Inputs are not checked.  Axis 0 of
+        u is time; each trajectory's maps come from a GEMM of its own, as alone, as in `SubsetReservoir`."""
+        u = np.asarray(u, dtype=float)
+        features = input_features(np.atleast_1d(u), self.reset_count)
+        kept = len(self.columns)
+        return np.moveaxis(np.moveaxis(features, 0, -2) @ self.maps, -2, 0).reshape(u.shape + (kept, kept))
+
+    encode = transfer
+
+    def evolve(self, k: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
+        """A k on kept Pauli vectors held as (..., K, 1) columns."""
+        return np.matmul(m, k, out=out)
+
+    def read(self, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The readout (L, ..., 4**n) of L steps from the kept vectors k before them, (L, ..., K, 1), and their
+        inputs u, (L, ...): sum_f c_f(u) R_f k as one GEMM per trajectory of the (L, |c| K) features c (x) k."""
+        features = input_features(u, self.reset_count)
+        features = features.reshape(features.shape[:1] + (1,) * (k.ndim - features.ndim - 1) + features.shape[1:])
+        rows = np.moveaxis(features[..., :, None] * k[..., None, :, 0], 0, -3)
+        return np.moveaxis(rows.reshape(rows.shape[:-2] + (-1,)) @ self.readout_terms, -2, 0)
+
 
 # ---------------------------------------------------------------------------
 # amplitude damping / fractional CNOT model
@@ -283,7 +363,7 @@ class SubsetReservoir:
         self.n_qubits = 2
         # the Pauli transfer matrix S[j, k] = tr(P_j system_step(P_k)) / 4, and R_Y(arccos u)'s
         # R(u) = sum_i c_i R_i in I, X, Y, Z order, with c = (1, u, sqrt(1 - u^2))
-        ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(2))
+        ops = pauli_operators(2)
         system = pauli_expectations(self.system_step(ops), ops).T / 4
         r_parts = np.array([np.diag([1.0, 0, 1, 0]), np.diag([0.0, 1, 0, 1]), np.zeros((4, 4))])
         r_parts[2, 1, 3], r_parts[2, 3, 1] = 1.0, -1.0
@@ -309,8 +389,7 @@ class SubsetReservoir:
         T(u) tr(P_k rho) is the readout of `step(rho, u)` to rounding.  Inputs are not checked.  Each column
         u[:, b] gets a GEMM of its own, as alone: a one-row product rounds unlike a row of a larger one."""
         u = np.asarray(u, dtype=float)
-        c = np.stack([np.ones_like(u), u, np.sqrt(1.0 - u * u)], axis=-1)
-        cc = (c[..., :, None] * c[..., None, :]).reshape(len(u) if u.ndim else 1, -1, 9)
+        cc = input_features(u, 2).reshape(len(u) if u.ndim else 1, -1, 9)
         return (cc.swapaxes(0, 1) @ self.transfer_terms).swapaxes(0, 1).reshape(u.shape + (16, 16))
 
     encode = transfer
@@ -346,6 +425,14 @@ class DepolarizingReservoir:
 # ---------------------------------------------------------------------------
 # readout
 
+@cache
+def pauli_operators(n_qubits: int) -> np.ndarray:
+    """The (4**n, d, d) operators of `qmat.all_pauli_strings(n)`, built once per process, read-only."""
+    ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(n_qubits))
+    ops.flags.writeable = False
+    return ops
+
+
 def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarray:
     """Real expectation values tr(P rho), shape (..., B), for a stacked (B, d, d)
     operator array and a state or (..., d, d) stack of states."""
@@ -367,8 +454,9 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
     it by more than 1e-9 (nan included), raises.  Every model runs state <-
     evolve(state, encode(u)), with one `encode` and one readout per block of
     steps.  The state is rho, bit for bit with a loop over `step`, or on a
-    model with a `transfer` map (``SubsetReservoir``) the Pauli vector, read
-    out as it stands and equal to `step` to rounding; a batch equals its rows.
+    model with a `transfer` map the Pauli vector (``SubsetReservoir``, read out
+    as it stands) or its kept part (``KeptMap``, read out from the state before
+    each step), equal to `step` to rounding; a batch equals its rows.
     """
     inputs = np.asarray(inputs, dtype=float)
     outside = ~(np.abs(inputs) <= 1.0)
@@ -376,20 +464,26 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
         t = np.nonzero(outside)[-1].min()
         raise RuntimeError(f"reservoir step failed at time index {t}: "
                            f"input {inputs[..., t][outside[..., t]][0]} outside [-1, 1]")
-    ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(model.n_qubits))
+    ops = pauli_operators(model.n_qubits)
     batch = np.broadcast_shapes(inputs.shape[:-1], np.shape(rho0)[:-2])
-    if hasattr(model, "transfer"):
-        state, dtype, readout = pauli_expectations(rho0, ops)[..., None], float, lambda x: x[..., 0]
+    before = hasattr(model, "read")  # the buffer then holds the state before each step, the block's first at 0
+    if before:
+        state, dtype, readout = pauli_expectations(rho0, ops[model.columns])[..., None], float, model.read
+    elif hasattr(model, "transfer"):
+        state, dtype, readout = pauli_expectations(rho0, ops)[..., None], float, lambda x, _: x[..., 0]
     else:
-        state, dtype, readout = rho0, complex, lambda rho: pauli_expectations(rho, ops)
+        state, dtype, readout = rho0, complex, lambda rho, _: pauli_expectations(rho, ops)
     # Before the readout: freed, the buffer leaves a hole the next call reuses, not a heap top malloc trims.
-    states = np.empty((TRANSFER_BLOCK,) + batch + np.shape(state)[-2:], dtype=dtype)
+    states = np.empty((TRANSFER_BLOCK + before,) + batch + np.shape(state)[-2:], dtype=dtype)
     values = np.empty(batch + (inputs.shape[-1], len(ops)))
     for start in range(0, inputs.shape[-1], TRANSFER_BLOCK):
-        encoded = model.encode(np.moveaxis(inputs[..., start:start + TRANSFER_BLOCK], -1, 0))
-        for sigma, out in zip(encoded, states):
+        block = np.moveaxis(inputs[..., start:start + TRANSFER_BLOCK], -1, 0)
+        encoded = model.encode(block)
+        if before:
+            states[0] = state
+        for sigma, out in zip(encoded, states[before:]):
             state = model.evolve(state, sigma, out)
-        values[..., start:start + len(encoded), :] = np.moveaxis(readout(states[:len(encoded)]), 0, -2)
+        values[..., start:start + len(block), :] = np.moveaxis(readout(states[:len(block)], block), 0, -2)
     over = ~(np.maximum(values.max(axis=-1), -values.min(axis=-1)) <= 1.0 + 1e-9)
     if over.any():
         raise RuntimeError(f"readout out of range at time index {np.nonzero(over)[-1].min()}")

@@ -31,6 +31,7 @@ import numpy as np
 from . import benchmarks, espmetrics, qmat
 from .reservoir import (
     AxisConfig,
+    KeptMap,
     NsModelConfig,
     NsReservoir,
     SkHamiltonianConfig,
@@ -116,8 +117,8 @@ class SweepConfig:
         for f in fields(self):  # a float or bool here would fail at every grid point
             if f.type in ("int", int) and not benchmarks.is_int(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
-        if not all(benchmarks.is_int(x) for pair in self.ipc_budget for x in pair):
-            raise ValueError(f"ipc_budget entries must be integers, got {self.ipc_budget}")
+        # for every metric set, as the integer fields: the one check of the IPC budget and surrogate count
+        benchmarks.IpcConfig(budget=self.ipc_budget, surrogate_count=self.ipc_surrogates)
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be nonnegative")
         if self.experiment not in EXPERIMENTS:
@@ -171,7 +172,6 @@ class SweepConfig:
             raise ValueError(f"mc_washout {self.mc_washout} must cover the largest delay, "
                              f"mc_max_delay {self.mc_max_delay}")
         if "ipc" in self.metrics:
-            benchmarks.IpcConfig(budget=self.ipc_budget, surrogate_count=self.ipc_surrogates)
             max_delay = max(m for _, m in self.ipc_budget)
             if self.mc_washout < max_delay:
                 raise ValueError(f"mc_washout {self.mc_washout} must cover the largest delay "
@@ -240,31 +240,43 @@ def _drawn(model, rng: np.random.Generator, length: int, low: float, high: float
     return u, qmat.haar_random_pure_state(model.n_qubits, rng)
 
 
+def _joint(models):
+    """One model for the rows of all `models`, axis 0 of its batches running over them: one axis grid's
+    models share the SK unitary and reset subsystem, and each keeps its own input maps."""
+    first = models[0]
+    if len(models) == 1:
+        return first
+    if isinstance(first, KeptMap):
+        return KeptMap(np.stack([m.terms for m in models])[:, None], first.columns, first.n_qubits, first.reset_count)
+    return SimpleNamespace(n_qubits=first.n_qubits, evolve=first.evolve,
+                           encode=lambda u: np.stack([m.encode(u[:, p]) for p, m in enumerate(models)], axis=1))
+
+
 def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     """Every requested metric at each of `points`, (index, coord) pairs of the grid.
 
     Each point draws from its own streams; each kind of run drives the rows of all points in
     one `run_reservoir` call, and each point finishes its metrics on its own rows.  Several
-    points must lie on one axis grid: each readout is then bit for bit the point's own."""
+    points must lie on one axis grid: each readout is then bit for bit the point's own.  The
+    indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others rho."""
     models = [_build_model(cfg, coord) for _, coord in points]
     streams = [dict(zip(METRICS, map(np.random.default_rng, point_seed_sequence(cfg.seed, i).spawn(len(METRICS)))))
                for i, _ in points]
-    joint = models[0] if len(models) == 1 else SimpleNamespace(  # axis 0 of its batches runs over the points
-        n_qubits=models[0].n_qubits, evolve=models[0].evolve,  # the same SK unitary and reset subsystem
-        encode=lambda u: np.stack([model.encode(u[:, p]) for p, model in enumerate(models)], axis=1))
     values: list[dict] = [{} for _ in points]
 
-    def drive(stream: str, draw):  # each point's draw(model, rng) from its stream, stacked; one run for all
+    def drive(stream: str, draw, stepper=lambda model: model):
+        """Each point's draw(model, rng) from its stream, stacked, and one run of all their steppers."""
         inputs, rho0 = map(np.stack, zip(*(draw(model, s[stream]) for model, s in zip(models, streams))))
-        return inputs, rho0, run_reservoir(joint, inputs, rho0)
+        return inputs, rho0, run_reservoir(_joint([stepper(model) for model in models]), inputs, rho0)
 
     ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len)
     for stream, selector in (("esp", None), ("ns_esp_damping", espmetrics.damping_subsystem_selection),
                              ("ns_esp_nondamping", espmetrics.non_damping_subsystem_selection)):
         names = [name for name in (("esp", "ns_esp") if stream == "esp" else (stream,)) if name in cfg.metrics]
         if names:
-            _, rho0, trajs = drive(stream, lambda m, rng: espmetrics.ensemble_draws(m.n_qubits, *ensemble, rng))
-            columns = selector and selector(qmat.all_pauli_strings(joint.n_qubits))
+            _, rho0, trajs = drive(stream, lambda m, rng: espmetrics.ensemble_draws(m.n_qubits, *ensemble, rng),
+                                   espmetrics.stepped)
+            columns = selector and selector(qmat.all_pauli_strings(models[0].n_qubits))
             for point, states, traj in zip(values, rho0, trajs):
                 trace = espmetrics.ensemble_trace(traj, states, cfg.indicator_states, cfg.indicator_window, columns)
                 point.update((name, trace.final_esp if name == "esp" else trace.final_ns) for name in names)
@@ -300,7 +312,8 @@ def chunk_size(cfg: SweepConfig) -> int:
     """Grid points per pool task, fixed by the config alone, never by the worker count: on the
     axis grid, as many as fit CHUNK_BYTES with the readout (4**n floats, 128 bytes, a step) and
     64-step state buffer (d x d complex, 256 bytes, a step) of each row of their largest run;
-    one on the gamma-p grid, whose models share no map."""
+    one on the gamma-p grid, whose models share no map.  Indicator runs step the kept Pauli
+    vector (4 floats, 32 bytes, a step; see `espmetrics.stepped`): for them it is an upper bound."""
     if cfg.experiment == "subset_gamma_p_grid":
         return 1
     runs = ((cfg.indicator_inputs * cfg.indicator_states, cfg.indicator_len, INDICATOR_METRICS),

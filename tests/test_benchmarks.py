@@ -452,6 +452,9 @@ def test_ipc_config_validation():
     for budget in (((1, 5), (1, 5)), ((1, 5), (2, 3), (1, 3))):  # would count degree 1 twice
         with pytest.raises(ValueError, match="budget repeats a degree"):
             bm.IpcConfig(budget=budget)
+    for budget in (((1,),), ((1, 5, 2),), (1, 5), ((1, 5), 2)):  # not unpacked: refused naming budget
+        with pytest.raises(ValueError, match=r"budget entries must be \(degree, max_delay\) pairs"):
+            bm.IpcConfig(budget=budget)
     for budget in (((1.5, 2),), ((1.0, 2),), ((1, 2.0),), ((True, 2),), ((1, np.int64(2)),)):
         with pytest.raises(ValueError, match="budget degrees and delays must be integers"):
             bm.IpcConfig(budget=budget)

@@ -164,7 +164,7 @@ def test_indicator_ensemble_matches_per_trajectory_loop(columns):
         states = [qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(n_states)]
         esp_sum, ns_sum, count = 0.0, 0.0, 0
         for inputs in input_sets:
-            rows = [rv.run_reservoir(model, inputs, rho) for rho in states]
+            rows = [rv.run_reservoir(em.stepped(model), inputs, rho) for rho in states]  # the kept map
             for i, j in combinations(range(n_states), 2):
                 s0_dist = qmat.hilbert_schmidt_distance(states[i], states[j])
                 esp_sum += em.esp_indicator(rows[i], rows[j], s0_dist, seq_len - 1, columns)

@@ -302,33 +302,42 @@ def test_run_reservoir_names_failing_step():
 
 
 SUBSET = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=0.3, cnot_exponent=0.7))
+NS_2Q = rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth=0.8, polar=1.2)))
+NS_3Q_RESET0 = rv.NsReservoir(
+    rv.NsModelConfig(
+        hamiltonian=rv.SkHamiltonianConfig(n_qubits=3, seed=3),
+        axis=rv.AxisConfig(azimuth=2.1, polar=0.6),
+        reset_subsystem=(0,),  # kept qubits go first, so the factors are permuted back
+    )
+)
+NS_3Q_RESET12 = rv.NsReservoir(
+    rv.NsModelConfig(
+        hamiltonian=rv.SkHamiltonianConfig(n_qubits=3, seed=4),
+        axis=rv.AxisConfig(azimuth=1.1, polar=2.6),
+        reset_subsystem=(1, 2),  # a two-qubit reset state, no permutation
+    )
+)
 
 
 @pytest.mark.parametrize(
     "model, n_rows, last_block",
     [
-        (rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth=0.8, polar=1.2))), 3, 5),
-        (rv.NsReservoir(
-            rv.NsModelConfig(
-                hamiltonian=rv.SkHamiltonianConfig(n_qubits=3, seed=3),
-                axis=rv.AxisConfig(azimuth=2.1, polar=0.6),
-                reset_subsystem=(0,),  # kept qubits go first, so the factors are permuted back
-            )
-        ), 3, 5),
-        (rv.NsReservoir(
-            rv.NsModelConfig(
-                hamiltonian=rv.SkHamiltonianConfig(n_qubits=3, seed=4),
-                axis=rv.AxisConfig(azimuth=1.1, polar=2.6),
-                reset_subsystem=(1, 2),  # a two-qubit reset state, no permutation
-            )
-        ), 3, 5),
+        (NS_2Q, 3, 5),
+        (NS_3Q_RESET0, 3, 5),
+        (NS_3Q_RESET12, 3, 5),
         (SUBSET, 3, 5),
         # the batch of a subset indicator ensemble; a one-step block, whose map a row alone
         # builds with a one-row product, which rounds unlike a row of a larger one
         (SUBSET, 12, 1),
         (rv.DepolarizingReservoir(0.2), 3, 5),
+        # the kept maps that indicator ensembles step, with the same one-step block
+        (NS_2Q.kept, 3, 5),
+        (NS_2Q.kept, 12, 1),
+        (NS_3Q_RESET0.kept, 3, 5),
+        (NS_3Q_RESET12.kept, 12, 1),
     ],
-    ids=["ns-2q", "ns-3q-reset0", "ns-3q-reset12", "subset", "subset-12rows", "depolarizing"],
+    ids=["ns-2q", "ns-3q-reset0", "ns-3q-reset12", "subset", "subset-12rows", "depolarizing",
+         "kept-2q", "kept-2q-12rows", "kept-3q-reset0", "kept-3q-reset12-12rows"],
 )
 def test_run_reservoir_batch_equals_its_rows(model, n_rows, last_block):
     rng = np.random.default_rng(21)
@@ -343,7 +352,7 @@ def test_run_reservoir_batch_equals_its_rows(model, n_rows, last_block):
     shared = rv.run_reservoir(model, inputs[0], states)
     assert np.array_equal(shared[2], rv.run_reservoir(model, inputs[0], states[2]))
     if hasattr(model, "transfer"):
-        return  # agrees with its step to rounding: test_subset_transfer_matches_density_matrix_step
+        return  # agrees with its step to rounding: test_*_matches_density_matrix_step
     # otherwise the readout is that of a plain loop over `step`, bit for bit, batched or broadcast
     ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(model.n_qubits))
     for drive, result in ((inputs, batch), (inputs[0], shared)):
@@ -373,6 +382,33 @@ def test_subset_transfer_matches_density_matrix_step(gamma, p):
         rho = model.step(rho, u)
         expected.append(rv.pauli_expectations(rho, ops))
     assert np.abs(rv.run_reservoir(model, inputs, rho0) - expected).max() <= 1e-11
+
+
+@pytest.mark.parametrize("n, reset", [(2, (1,)), (2, (0,)), (3, (1,)), (3, (0, 2))])
+def test_kept_map_matches_density_matrix_step(n, reset):
+    rng = np.random.default_rng(31 + n + reset[0])
+    ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(n))
+    for polar in (0.0, np.pi, rng.uniform(0.0, np.pi)):  # both poles and a generic axis, random SK seeds
+        model = rv.NsReservoir(rv.NsModelConfig(
+            hamiltonian=rv.SkHamiltonianConfig(n_qubits=n, seed=int(rng.integers(1000))),
+            axis=rv.AxisConfig(azimuth=rng.uniform(0.0, 2 * np.pi), polar=polar), reset_subsystem=reset))
+        kept = model.kept
+        assert kept is model.kept and len(kept.columns) == 4 ** (n - len(reset))  # built once
+        mixed = 0.3 * qmat.haar_random_pure_state(n, rng) + 0.7 * qmat.haar_random_pure_state(n, rng)
+        for rho in (qmat.haar_random_pure_state(n, rng), mixed):
+            k = rv.pauli_expectations(rho, ops[kept.columns])[:, None]
+            for u in (-1.0, 0.0, 1.0, *rng.uniform(-1, 1, 4)):
+                after = rv.pauli_expectations(model.step(rho, u), ops)
+                assert np.abs(kept.transfer(u) @ k - after[kept.columns, None]).max() <= 1e-12
+                assert np.abs(kept.read(k[None], np.array([u]))[0] - after).max() <= 1e-12
+        # 2000 steps of run_reservoir on the kept map against a loop over the density-matrix step
+        inputs = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, 1997)])
+        rho = rho0 = qmat.haar_random_pure_state(n, rng)
+        expected = []
+        for u in inputs:
+            rho = model.step(rho, u)
+            expected.append(rv.pauli_expectations(rho, ops))
+        assert np.abs(rv.run_reservoir(kept, inputs, rho0) - expected).max() <= 1e-12
 
 
 def test_pauli_expectations_roundtrip():

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qresp import benchmarks, qmat, sweep
+from qresp import benchmarks, espmetrics, qmat, sweep
 from qresp.reservoir import run_reservoir
 
 
@@ -80,9 +80,15 @@ def test_config_validation():
                         ("azimuth_count", np.int64(4))):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             sweep.SweepConfig(**{name: value})
+    # the IPC budget and surrogate count are IpcConfig's one check, for every metric set
     for budget in (((1.0, 5),), ((1, 5.0),)):
-        with pytest.raises(ValueError, match="ipc_budget entries must be integers"):
+        with pytest.raises(ValueError, match="budget degrees and delays must be integers"):
             sweep.SweepConfig(metrics=("esp",), ipc_budget=budget)
+    for budget in (((1,),), ((1, 5, 2),)):
+        with pytest.raises(ValueError, match=r"budget entries must be \(degree, max_delay\) pairs"):
+            sweep.SweepConfig(metrics=("esp",), ipc_budget=budget)
+    with pytest.raises(ValueError, match="surrogate_count must be nonnegative"):
+        sweep.SweepConfig(metrics=("esp",), ipc_surrogates=-3)
     # configs that would fail at every grid point, refused only where a metric reads the field
     with pytest.raises(ValueError, match="mc_washout 20 .* mc_max_delay 50"):
         sweep.SweepConfig(metrics=("mc",), mc_washout=20, mc_max_delay=50)
@@ -125,7 +131,9 @@ def test_config_validation():
             sweep.SweepConfig(metrics=("ipc",), ipc_budget=budget)
     with pytest.raises(ValueError, match="surrogate_count"):
         sweep.SweepConfig(metrics=("ipc",), ipc_surrogates=-1)
-    sweep.SweepConfig(metrics=("mc",), mc_washout=40, mc_max_delay=10, ipc_budget=(), ipc_surrogates=-1)
+    for fields in (dict(ipc_budget=()), dict(ipc_surrogates=-1)):  # refused whatever the metrics
+        with pytest.raises(ValueError, match="budget|surrogate_count"):
+            sweep.SweepConfig(metrics=("mc",), mc_washout=40, mc_max_delay=10, **fields)
     # sequence lengths that leave a metric no data at any point
     for metric in ("mc", "ipc"):
         with pytest.raises(ValueError, match="mc_len 100 must exceed mc_washout 200"):
@@ -340,6 +348,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         dict(metrics=["mc"], mc_len=300, mc_washout=100, mc_max_delay=5.5),
         dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1.0, 5]]),
         dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1, 5], [1, 3]]),
+        dict(metrics=["ipc"], mc_len=100, mc_washout=20, ipc_budget=[[1, 5, 2]]),
+        dict(ipc_budget=[[1]]),
+        dict(ipc_surrogates=-3),
         dict(metrics=["esp", "esp"]),
         dict(metrics="esp"),
     ):
@@ -427,7 +438,8 @@ def test_narma_rnmse_matches_sequential_drive_and_fit(tmp_path):
 
 
 def test_axis_chunk_rows_are_each_points_own_run(tmp_path, monkeypatch):
-    # points on different axes share evolve; each gets its own encode on its rows
+    # points on different axes share evolve; each gets its own encode on its rows: the esp run
+    # steps each point's kept map, the narma2 run its density matrix
     runs = []
 
     def recorded(model, inputs, rho0):
@@ -439,9 +451,9 @@ def test_axis_chunk_rows_are_each_points_own_run(tmp_path, monkeypatch):
     points = [(0, (0.0, 0.0)), (7, (1.3, 0.9)), (3, (4.0, np.pi)), (5, (2.2, 2.5))]
     sweep.evaluate_chunk(cfg, points)
     assert [run[0].shape for run in runs] == [(4, 4, 2 * 64 + 7), (4, 2, 300)]  # esp, then narma2
-    for inputs, rho0, readout in runs:
+    for (inputs, rho0, readout), stepper in zip(runs, (espmetrics.stepped, lambda model: model)):
         for (_, coord), u, states, rows in zip(points, inputs, rho0, readout):
-            assert np.array_equal(rows, run_reservoir(sweep._build_model(cfg, coord), u, states))  # bit for bit
+            assert np.array_equal(rows, run_reservoir(stepper(sweep._build_model(cfg, coord)), u, states))  # bit for bit
 
 
 def _emitted(result, path):
