@@ -100,20 +100,24 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
 
     Ordinary least squares via the pseudo-inverse: the minimum-norm solution
     on degenerate designs, flagged on the result.  The constant all-identity
-    readout column plays the role of the intercept.
+    readout column plays the role of the intercept.  `features` has one row
+    per target row, or leaves out the washout rows before the train start,
+    which the fit never reads.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
-    if len(x) != len(y):
-        raise ValueError(f"feature rows {len(x)} do not match target length {len(y)}")
     train_start, test_start = split.boundaries(len(y))
-    x_train, y_train = x[train_start:test_start], y[train_start:test_start]
+    skipped = len(y) - len(x)
+    if skipped not in (0, train_start):
+        raise ValueError(f"feature rows {len(x)} match neither target length {len(y)} "
+                         f"nor its {len(y) - train_start} rows after the washout")
+    x_train, y_train = x[train_start - skipped:test_start - skipped], y[train_start:test_start]
 
     degenerate = np.linalg.matrix_rank(x_train) < x.shape[1]
     weights = np.linalg.pinv(x_train) @ y_train
     return ReadoutFit(
         weights=weights,
-        predictions=x[test_start:] @ weights,
+        predictions=x[test_start - skipped:] @ weights,
         test_target=y[test_start:],
         degenerate=degenerate,
     )

@@ -215,17 +215,19 @@ def axis_frame_unitary(axis: AxisConfig) -> np.ndarray:
     return np.array([[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]])
 
 
-def input_unitary(u, axis: AxisConfig) -> np.ndarray:
+def input_unitary(u, axis) -> np.ndarray:
     """Rotation by theta = arccos(u) about the given axis, U3^dag Rz(theta) U3, shape np.shape(u) + (2, 2):
-    the diagonal Rz(theta) = diag(e^{-i theta/2}, e^{i theta/2}) scales the columns of U3^dag, one matmul."""
+    the diagonal Rz(theta) = diag(e^{-i theta/2}, e^{i theta/2}) scales the columns of U3^dag, one matmul.
+    `axis` is an AxisConfig, or a stack of `axis_frame_unitary` frames, shape (..., 2, 2), that broadcasts
+    against u: each entry of u then turns about its own axis, bit for bit as with that axis alone."""
     _check_inputs(u)
-    frame = axis_frame_unitary(axis)
+    frame = axis_frame_unitary(axis) if isinstance(axis, AxisConfig) else axis
     theta = np.arccos(u)
     rz = np.stack([np.exp(-0.5j * theta), np.exp(0.5j * theta)], axis=-1)
-    return (frame.conj().T * rz[..., None, :]) @ frame
+    return (frame.conj().swapaxes(-1, -2) * rz[..., None, :]) @ frame
 
 
-def encoded_state(u, axis: AxisConfig, n_qubits: int = 1) -> np.ndarray:
+def encoded_state(u, axis, n_qubits: int = 1) -> np.ndarray:
     """sigma_A(u; axis) = U |0><0|^{tensor n} U^dag with the same U on each qubit: per qubit the
     outer product c c^dag of c = U|0>, the first column of U = `input_unitary(u, axis)`."""
     c = input_unitary(u, axis)[..., :, 0]
@@ -236,15 +238,26 @@ def encoded_state(u, axis: AxisConfig, n_qubits: int = 1) -> np.ndarray:
     return sigma
 
 
+@cache
+def sk_evolution(cfg: SkHamiltonianConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H, exp(-iH) and its adjoint for the config, built once per process, read-only: every point of
+    an axis grid shares them."""
+    h = build_sk_hamiltonian(cfg)
+    unitary = qmat.evolution_unitary(h)
+    matrices = h, unitary, unitary.conj().T
+    for m in matrices:
+        m.flags.writeable = False
+    return matrices
+
+
 class NsReservoir:
-    """SK-Hamiltonian reservoir with reset-input encoding; exp(-iH) compiled once.
+    """SK-Hamiltonian reservoir with reset-input encoding; exp(-iH) compiled once per Hamiltonian.
     `step(rho, u)` is `evolve(rho, encode(u))`, and `encode` depends on the input alone."""
 
     def __init__(self, config: NsModelConfig):
         self.config = config
-        self.hamiltonian = build_sk_hamiltonian(config.hamiltonian)
-        self.unitary = qmat.evolution_unitary(self.hamiltonian)
-        self.unitary_dag = self.unitary.conj().T
+        self.hamiltonian, self.unitary, self.unitary_dag = sk_evolution(config.hamiltonian)
+        self.frame = axis_frame_unitary(config.axis)  # encode's U3; sweep._joint stacks those of several axes
         self.n_qubits = n = config.hamiltonian.n_qubits
         reset = config.reset_subsystem
         # tr_A sums the two slices diagonal in each qubit q of A, lowest first, r of A already gone
@@ -256,7 +269,7 @@ class NsReservoir:
 
     def encode(self, u) -> np.ndarray:
         """The reset states sigma_A(u), shape np.shape(u) + (2**|A|, 2**|A|)."""
-        return encoded_state(u, self.config.axis, n_qubits=len(self.config.reset_subsystem))
+        return encoded_state(u, self.frame, n_qubits=len(self.config.reset_subsystem))
 
     def reset_encode(self, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """tr_A(rho) (x) sigma_A: the reset subsystem A replaced by sigma_A, in the original qubit order,
@@ -272,7 +285,15 @@ class NsReservoir:
         return combined.reshape(lead + self.unitary.shape)
 
     def evolve(self, rho: np.ndarray, sigma: np.ndarray, out=None) -> np.ndarray:
-        return np.matmul(self.unitary @ self.reset_encode(rho, sigma), self.unitary_dag, out=out)
+        """U x U^dag for each x of the stack reset_encode(rho, sigma), (..., d, d), in two GEMMs: U [x_1 ... x_B],
+        (d, d B), then its rows restacked, (d B, d), times U^dag.  No GEMM dimension falls below d >= 4, so
+        each x keeps the bits of its own two d x d products.  `out`, if given, is C-contiguous."""
+        x = self.reset_encode(rho, sigma)
+        d = len(self.unitary)
+        left = self.unitary @ x.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+        rows = left.reshape(d, -1, d).transpose(1, 0, 2).reshape(-1, d)
+        product = np.matmul(rows, self.unitary_dag, out=None if out is None else out.reshape(-1, d))
+        return product.reshape(x.shape)
 
     def step(self, rho: np.ndarray, u) -> np.ndarray:
         return self.evolve(rho, self.encode(u))
@@ -442,23 +463,29 @@ def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarra
 TRANSFER_BLOCK = 64  # steps encoded at once and kept for one readout, so memory does not grow with T
 
 
-def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
+def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarray:
     """Drive the model with the inputs, recording all 4**n Pauli expectations after each step.
 
     `inputs` has shape (..., T) and `rho0` (..., d, d); their leading shapes
     broadcast to the batch shape.  The readout is a float array of shape
-    (..., T, 4**n), time-major: entry [..., t, k] is tr(P_k rho_{t+1}), with
-    P_k the k-th string of `qmat.all_pauli_strings(n)` ("I...I" first).
+    (..., T - washout, 4**n), time-major: entry [..., t, k] is
+    tr(P_k rho_{washout+t+1}), with P_k the k-th string of
+    `qmat.all_pauli_strings(n)` ("I...I" first).  The rows before `washout`
+    are read out and checked but not kept.
 
     The first time index with an input outside [-1, 1], or a readout outside
     it by more than 1e-9 (nan included), raises.  Every model runs state <-
-    evolve(state, encode(u)), with one `encode` and one readout per block of
-    steps.  The state is rho, bit for bit with a loop over `step`, or on a
-    model with a `transfer` map the Pauli vector (``SubsetReservoir``, read out
-    as it stands) or its kept part (``KeptMap``, read out from the state before
-    each step), equal to `step` to rounding; a batch equals its rows.
+    evolve(state, encode(u)), with one `encode`, one readout and its range
+    check per block of steps.  The state is rho, bit for bit with a loop over
+    `step`, or on a model with a `transfer` map the Pauli vector
+    (``SubsetReservoir``, read out as it stands) or its kept part
+    (``KeptMap``, read out from the state before each step), equal to `step`
+    to rounding; a batch equals its rows.
     """
     inputs = np.asarray(inputs, dtype=float)
+    steps = inputs.shape[-1]
+    if not 0 <= washout <= steps:
+        raise ValueError(f"washout {washout} outside 0..{steps}")
     outside = ~(np.abs(inputs) <= 1.0)
     if outside.any():
         t = np.nonzero(outside)[-1].min()
@@ -475,18 +502,21 @@ def run_reservoir(model, inputs, rho0: np.ndarray) -> np.ndarray:
         state, dtype, readout = rho0, complex, lambda rho, _: pauli_expectations(rho, ops)
     # Before the readout: freed, the buffer leaves a hole the next call reuses, not a heap top malloc trims.
     states = np.empty((TRANSFER_BLOCK + before,) + batch + np.shape(state)[-2:], dtype=dtype)
-    values = np.empty(batch + (inputs.shape[-1], len(ops)))
-    for start in range(0, inputs.shape[-1], TRANSFER_BLOCK):
+    values = np.empty(batch + (steps - washout, len(ops)))
+    for start in range(0, steps, TRANSFER_BLOCK):
         block = np.moveaxis(inputs[..., start:start + TRANSFER_BLOCK], -1, 0)
         encoded = model.encode(block)
         if before:
             states[0] = state
         for sigma, out in zip(encoded, states[before:]):
             state = model.evolve(state, sigma, out)
-        values[..., start:start + len(block), :] = np.moveaxis(readout(states[:len(block)], block), 0, -2)
-    over = ~(np.maximum(values.max(axis=-1), -values.min(axis=-1)) <= 1.0 + 1e-9)
-    if over.any():
-        raise RuntimeError(f"readout out of range at time index {np.nonzero(over)[-1].min()}")
+        read = readout(states[:len(block)], block)
+        over = ~(np.maximum(read.max(axis=-1), -read.min(axis=-1)) <= 1.0 + 1e-9)
+        if over.any():
+            raise RuntimeError(f"readout out of range at time index {start + np.nonzero(over)[0].min()}")
+        skip = max(washout - start, 0)  # the block's rows before the washout's end
+        if skip < len(block):
+            values[..., start + skip - washout:start + len(block) - washout, :] = np.moveaxis(read[skip:], 0, -2)
     return values
 
 

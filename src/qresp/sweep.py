@@ -38,6 +38,7 @@ from .reservoir import (
     SubsetModelConfig,
     SubsetReservoir,
     TRANSFER_BLOCK,
+    encoded_state,
     run_reservoir,
 )
 
@@ -57,7 +58,8 @@ METRICS = (
 
 NS_METRICS = {"ns_esp", "ns_esp_damping", "ns_esp_nondamping"}
 INDICATOR_METRICS = {"esp"} | NS_METRICS
-CHUNK_BYTES = 11 << 17  # per axis-grid task (see chunk_size): two points of the default indicator ensemble
+CHUNK_BYTES = 2 << 20  # per axis-grid task (see chunk_size): two points of the default indicator ensemble,
+# nine of 2 x 1,200-step NARMA runs
 
 HAMILTONIAN_PRESETS = {
     "H1": {"j_scale": 1.0, "field_width": 0.312, "global_field": 0.013},
@@ -242,14 +244,19 @@ def _drawn(model, rng: np.random.Generator, length: int, low: float, high: float
 
 def _joint(models):
     """One model for the rows of all `models`, axis 0 of its batches running over them: one axis grid's
-    models share the SK unitary and reset subsystem, and each keeps its own input maps."""
+    models share the SK unitary and reset subsystem, and each keeps its own input maps, its kept-map terms
+    or its axis frame, stacked so that one call encodes every point's inputs."""
     first = models[0]
     if len(models) == 1:
         return first
     if isinstance(first, KeptMap):
         return KeptMap(np.stack([m.terms for m in models])[:, None], first.columns, first.n_qubits, first.reset_count)
-    return SimpleNamespace(n_qubits=first.n_qubits, evolve=first.evolve,
-                           encode=lambda u: np.stack([m.encode(u[:, p]) for p, m in enumerate(models)], axis=1))
+    frames, reset = np.stack([m.frame for m in models]), len(first.config.reset_subsystem)
+
+    def encode(u):  # u is (step, point, ...): each point's frame broadcasts over the axes after its own
+        return encoded_state(u, frames.reshape((len(models),) + (1,) * (u.ndim - 2) + (2, 2)), n_qubits=reset)
+
+    return SimpleNamespace(n_qubits=first.n_qubits, evolve=first.evolve, encode=encode)
 
 
 def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
@@ -260,14 +267,17 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     points must lie on one axis grid: each readout is then bit for bit the point's own.  The
     indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others rho."""
     models = [_build_model(cfg, coord) for _, coord in points]
-    streams = [dict(zip(METRICS, map(np.random.default_rng, point_seed_sequence(cfg.seed, i).spawn(len(METRICS)))))
-               for i, _ in points]
+    seeds = [point_seed_sequence(cfg.seed, i).spawn(len(METRICS)) for i, _ in points]
     values: list[dict] = [{} for _ in points]
 
-    def drive(stream: str, draw, stepper=lambda model: model):
+    def rng(p: int, stream: str) -> np.random.Generator:
+        """Point p's generator of the named stream, built only when a metric draws from it."""
+        return np.random.default_rng(seeds[p][METRICS.index(stream)])
+
+    def drive(stream: str, draw, stepper=lambda model: model, washout=0):
         """Each point's draw(model, rng) from its stream, stacked, and one run of all their steppers."""
-        inputs, rho0 = map(np.stack, zip(*(draw(model, s[stream]) for model, s in zip(models, streams))))
-        return inputs, rho0, run_reservoir(_joint([stepper(model) for model in models]), inputs, rho0)
+        inputs, rho0 = map(np.stack, zip(*(draw(model, rng(p, stream)) for p, model in enumerate(models))))
+        return inputs, rho0, run_reservoir(_joint([stepper(model) for model in models]), inputs, rho0, washout=washout)
 
     ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len)
     for stream, selector in (("esp", None), ("ns_esp_damping", espmetrics.damping_subsystem_selection),
@@ -280,22 +290,25 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
             for point, states, traj in zip(values, rho0, trajs):
                 trace = espmetrics.ensemble_trace(traj, states, cfg.indicator_states, cfg.indicator_window, columns)
                 point.update((name, trace.final_esp if name == "esp" else trace.final_ns) for name in names)
-    # raw NARMA inputs u in [0, 0.5]: criterion 5's 4u - 1 moves every narma cell and waits for new references
+    # raw NARMA inputs u in [0, 0.5]: criterion 5's 4u - 1 moves every narma cell and waits for new references;
+    # the run keeps the rows the fit reads, from the washout's end on
+    split = benchmarks.SplitSpec()
     for name, order in (("narma2", 2), ("narma10", 10)):
         if name in cfg.metrics:
             inputs, _, trajs = drive(name, lambda m, rng: map(np.stack, zip(
-                *[_drawn(m, rng, cfg.narma_len, 0.0, 0.5) for _ in range(cfg.narma_sequences)])))
+                *[_drawn(m, rng, cfg.narma_len, 0.0, 0.5) for _ in range(cfg.narma_sequences)])),
+                washout=split.boundaries(cfg.narma_len)[0])
             for point, targets, features in zip(values, benchmarks.narma_generate(inputs, order), trajs):
-                fits = [benchmarks.train_linear_readout(x, y, benchmarks.SplitSpec()) for x, y in zip(features, targets)]
+                fits = [benchmarks.train_linear_readout(x, y, split) for x, y in zip(features, targets)]
                 point[name] = float(np.mean([benchmarks.rnmse(fit.test_target, fit.predictions) for fit in fits]))
     if {"mc", "ipc"} & set(cfg.metrics):
         inputs, _, trajs = drive("mc", lambda m, rng: _drawn(m, rng, cfg.mc_len, -1.0, 1.0))
         ipc_cfg = benchmarks.IpcConfig(budget=cfg.ipc_budget, surrogate_count=cfg.ipc_surrogates)
-        for point, u, traj, s in zip(values, inputs, trajs, streams):
+        for p, (point, u, traj) in enumerate(zip(values, inputs, trajs)):
             if "mc" in cfg.metrics:
                 point["mc"] = benchmarks.mc_report(u, traj, cfg.mc_max_delay, cfg.mc_washout).total
             if "ipc" in cfg.metrics:
-                point["ipc"] = benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout, s["ipc"]).total
+                point["ipc"] = benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout, rng(p, "ipc")).total
     if "rank" in cfg.metrics:
         _, _, trajs = drive("rank", lambda m, rng: _drawn(m, rng, cfg.rank_len + cfg.rank_washout, -1.0, 1.0))
         for point, traj in zip(values, trajs):
@@ -310,16 +323,22 @@ def evaluate_point(cfg: SweepConfig, index: int, coord: tuple[float, float]) -> 
 
 def chunk_size(cfg: SweepConfig) -> int:
     """Grid points per pool task, fixed by the config alone, never by the worker count: on the
-    axis grid, as many as fit CHUNK_BYTES with the readout (4**n floats, 128 bytes, a step) and
-    64-step state buffer (d x d complex, 256 bytes, a step) of each row of their largest run;
-    one on the gamma-p grid, whose models share no map.  Indicator runs step the kept Pauli
-    vector (4 floats, 32 bytes, a step; see `espmetrics.stepped`): for them it is an upper bound."""
+    axis grid, as many as fit CHUNK_BYTES with the kept readout rows (4**n floats, 128 bytes, a
+    step) and the 64-step block buffers (state, inputs, readout and their temporaries, about 576
+    bytes a step on either path, measured) of each row of their largest run; one on the gamma-p
+    grid, whose models share no map.  A NARMA run keeps its rows from the washout's end on."""
     if cfg.experiment == "subset_gamma_p_grid":
         return 1
-    runs = ((cfg.indicator_inputs * cfg.indicator_states, cfg.indicator_len, INDICATOR_METRICS),
-            (cfg.narma_sequences, cfg.narma_len, {"narma2", "narma10"}),
-            (1, cfg.mc_len, {"mc", "ipc"}), (1, cfg.rank_len + cfg.rank_washout, {"rank"}))
-    largest = max(rows * (128 * steps + 256 * TRANSFER_BLOCK) for rows, steps, kind in runs if kind & set(cfg.metrics))
+    metrics, runs = set(cfg.metrics), []  # (rows, kept steps) of each run
+    if INDICATOR_METRICS & metrics:
+        runs.append((cfg.indicator_inputs * cfg.indicator_states, cfg.indicator_len))
+    if {"narma2", "narma10"} & metrics:
+        runs.append((cfg.narma_sequences, cfg.narma_len - benchmarks.SplitSpec().boundaries(cfg.narma_len)[0]))
+    if {"mc", "ipc"} & metrics:
+        runs.append((1, cfg.mc_len))
+    if "rank" in metrics:
+        runs.append((1, cfg.rank_len + cfg.rank_washout))
+    largest = max(rows * (128 * steps + 576 * TRANSFER_BLOCK) for rows, steps in runs)
     return max(1, CHUNK_BYTES // largest)
 
 

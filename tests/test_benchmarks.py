@@ -107,6 +107,21 @@ def test_linear_readout_recovers_exact_map():
     assert not fit.degenerate
 
 
+def test_linear_readout_reads_features_from_the_train_start():
+    # features without the washout rows give the fit of the full features, bit for bit
+    rng = np.random.default_rng(12)
+    feats = rng.normal(size=(301, 4))
+    target = feats @ np.array([0.5, -1.0, 2.0, 0.25]) + 0.01 * rng.normal(size=301)
+    split = bm.SplitSpec()
+    train_start, _ = split.boundaries(len(target))
+    full = bm.train_linear_readout(feats, target, split)
+    kept = bm.train_linear_readout(feats[train_start:].copy(), target, split)
+    for name in ("weights", "predictions", "test_target"):
+        assert np.array_equal(getattr(kept, name), getattr(full, name))
+    with pytest.raises(ValueError, match="feature rows 300 match neither target length 301 nor its 151 rows"):
+        bm.train_linear_readout(feats[1:], target, split)
+
+
 def test_linear_readout_flags_degenerate_features():
     feats = np.ones((200, 3))  # rank 1
     target = np.linspace(0, 1, 200)

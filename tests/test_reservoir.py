@@ -319,6 +319,49 @@ NS_3Q_RESET12 = rv.NsReservoir(
 )
 
 
+@pytest.mark.parametrize("model", [NS_2Q, NS_3Q_RESET0, NS_3Q_RESET12], ids=["2q", "3q-reset0", "3q-reset12"])
+def test_evolve_equals_each_matrix_own_product(model):
+    # the two whole-stack GEMMs give each matrix the bits of its own U x U^dag, x = reset_encode(rho, sigma);
+    # this fails on a BLAS that rounds a wide GEMM unlike its d x d blocks
+    rng = np.random.default_rng(41)
+    d = 2**model.n_qubits
+    for lead in ((), (1,), (2,), (8,), (4, 2), (72,)):
+        rho = rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
+        sigma = model.encode(rng.uniform(-1, 1, lead))
+        x = model.reset_encode(rho, sigma).reshape(-1, d, d)
+        expected = np.stack([np.matmul(model.unitary @ m, model.unitary_dag) for m in x]).reshape(lead + (d, d))
+        assert np.array_equal(model.evolve(rho, sigma), expected)
+        out = np.empty(lead + (d, d), dtype=complex)
+        model.evolve(rho, sigma, out)
+        assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("model", [NS_2Q, SUBSET, NS_2Q.kept], ids=["ns-2q", "subset", "kept-2q"])
+def test_run_reservoir_washout_keeps_the_rows_after_it(model):
+    rng = np.random.default_rng(43)
+    steps = 2 * rv.TRANSFER_BLOCK + 5
+    inputs = rng.uniform(-1, 1, (3, steps))
+    states = np.stack([qmat.haar_random_pure_state(model.n_qubits, rng) for _ in range(3)])
+    full = rv.run_reservoir(model, inputs, states)
+    # inside the first block, at a block edge, inside the last block, and every row
+    for washout in (37, rv.TRANSFER_BLOCK, 2 * rv.TRANSFER_BLOCK + 2, steps):
+        assert np.array_equal(rv.run_reservoir(model, inputs, states, washout=washout), full[:, washout:])
+    for washout in (-1, steps + 1):
+        with pytest.raises(ValueError, match=f"washout {washout} outside 0..{steps}"):
+            rv.run_reservoir(model, inputs, states, washout=washout)
+
+
+def test_run_reservoir_checks_readout_inside_washout():
+    class Kicked(rv.DepolarizingReservoir):  # the state triples at each input 0.5
+        def evolve(self, rho, u, out=None):
+            return np.multiply(super().evolve(rho, u), np.where(u == 0.5, 3.0, 1.0)[..., None, None], out=out)
+
+    inputs = np.zeros(3 * rv.TRANSFER_BLOCK)
+    inputs[70] = 0.5  # in the second block, before the washout's end
+    with pytest.raises(RuntimeError, match="readout out of range at time index 70$"):
+        rv.run_reservoir(Kicked(0.2), inputs, np.eye(4, dtype=complex) / 4, washout=100)
+
+
 @pytest.mark.parametrize(
     "model, n_rows, last_block",
     [

@@ -442,9 +442,9 @@ def test_axis_chunk_rows_are_each_points_own_run(tmp_path, monkeypatch):
     # steps each point's kept map, the narma2 run its density matrix
     runs = []
 
-    def recorded(model, inputs, rho0):
+    def recorded(model, inputs, rho0, washout=0):  # records every row; returns those from the washout on
         runs.append((inputs, rho0, run_reservoir(model, inputs, rho0)))
-        return runs[-1][-1]
+        return runs[-1][-1][..., washout:, :]
 
     monkeypatch.setattr(sweep, "run_reservoir", recorded)
     cfg = small_config(tmp_path, metrics=("esp", "narma2"), indicator_len=2 * 64 + 7, narma_len=300, narma_sequences=2)
@@ -475,7 +475,7 @@ def _point_loop(cfg):
 def chunked_config(tmp_path, **overrides):
     # 9 points in chunks of 4, 4 and 1
     fields = dict(metrics=("esp", "ns_esp", "narma2", "narma10"), azimuth_count=3, polar_count=3,
-                  narma_len=1000, narma_sequences=2)
+                  indicator_len=600, narma_len=1000, narma_sequences=2)
     return small_config(tmp_path, **{**fields, **overrides})
 
 
@@ -494,6 +494,25 @@ def test_run_sweep_fields_equal_a_loop_over_evaluate_point(tmp_path):
     )
     assert sweep.chunk_size(cfg) == 1
     assert _emitted(sweep.run_sweep(cfg), tmp_path / "gp.csv") == _emitted(_point_loop(cfg), tmp_path / "loop.csv")
+
+
+def test_axis_chunks_never_fall_back_to_single_points(tmp_path, monkeypatch):
+    # a failing chunk reruns point by point, which would hide a fault of the chunk path behind equal
+    # fields: here every metric of the axis grid runs in chunks of 3 points and none falls back
+    cfg = small_config(
+        tmp_path, metrics=("esp", "ns_esp", "narma2", "narma10", "mc", "rank"), indicator_len=800, narma_len=300,
+        narma_sequences=2, mc_len=400, mc_washout=100, mc_max_delay=10, rank_len=200, rank_washout=50,
+    )
+    assert sweep.chunk_size(cfg) == 3 and len(sweep.grid_coordinates(cfg)) == 6
+    expected = _emitted(_point_loop(cfg), tmp_path / "loop.csv")
+
+    def refuse(*args):
+        raise AssertionError("a chunk fell back to evaluate_point")
+
+    monkeypatch.setattr(sweep, "evaluate_point", refuse)
+    result = sweep.run_sweep(cfg, resume=False)
+    assert result.errors == [None] * 6
+    assert _emitted(result, tmp_path / "chunked.csv") == expected
 
 
 def test_run_sweep_resumes_points_inside_chunks(tmp_path):
@@ -515,18 +534,15 @@ def test_failing_point_reruns_its_chunk_one_point_at_a_time(tmp_path, monkeypatc
 
     def build_failing(cfg, coord):
         model = build(cfg, coord)
-        if coord == bad:  # fails on its first encode, inside the run of its chunk
-            def encode(u):
-                raise ArithmeticError(f"encode failed at {coord}")
-
-            model.encode = encode
+        if coord == bad:  # its encode gives nan: its first readout, inside the run of its chunk, is out of range
+            model.frame = np.full((2, 2), np.nan)
         return model
 
     monkeypatch.setattr(sweep, "_build_model", build_failing)
-    with pytest.raises(ArithmeticError) as alone:
+    with pytest.raises(RuntimeError) as alone:
         sweep.evaluate_point(cfg, 5, bad)
     result = sweep.run_sweep(cfg, resume=False)
-    assert result.errors[5] == f"ArithmeticError: {alone.value}"
+    assert result.errors[5] == f"RuntimeError: {alone.value}"
     assert result.values[5] == {}
     for i in range(len(clean.values)):
         if i != 5:
