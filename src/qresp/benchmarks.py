@@ -42,6 +42,13 @@ def narma_generate(inputs, order: int) -> np.ndarray:
     with y and u treated as zero at negative indices; a stack of sequences,
     shape (..., T), gives their targets, each bit for bit as alone.  Raises on
     the known NARMA blow-up (|y| beyond 1e3), naming the first step of any.
+
+    The loop runs time-major, so that each step's operands are contiguous
+    rows, on bare ufunc calls: the products and sums of the time-last
+    recursion ``0.3 * last + 0.05 * last * window.sum(axis=-1) + drive + 0.1``
+    in its order, bit for bit.  That window sum adds fewer than 8 terms in
+    order, as a reduce over the time axis does; from 8 terms on it is numpy's
+    pairwise sum, taken on a copy of the window with time last.
     """
     if order < 2:
         raise ValueError("NARMA order must be at least 2")
@@ -50,13 +57,19 @@ def narma_generate(inputs, order: int) -> np.ndarray:
         raise ValueError("input sequence must be longer than the order")
     if not ((u >= 0.0) & (u <= 0.5)).all():  # nan fails both comparisons
         raise ValueError("NARMA inputs must lie in [0, 0.5]")
-    drive = np.zeros(u.shape)
-    drive[..., order:] = 1.5 * (u[..., order - 1 : -1] * u[..., : -order])
-    y = np.zeros(u.shape)
+    drive = np.zeros((u.shape[-1],) + u.shape[:-1])
+    drive[order:] = np.moveaxis(1.5 * (u[..., order - 1 : -1] * u[..., : -order]), -1, 0)
+    y = np.zeros(drive.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # past a blow-up, which raises below
-        for t in range(1, u.shape[-1]):
-            last = y[..., t - 1]
-            y[..., t] = 0.3 * last + 0.05 * last * y[..., max(0, t - order) : t].sum(axis=-1) + drive[..., t] + 0.1
+        for t in range(1, len(y)):
+            last, window = y[t - 1], y[max(0, t - order):t]
+            if len(window) < 8:
+                total = np.add.reduce(window, axis=0)
+            else:
+                total = np.add.reduce(np.moveaxis(window, 0, -1).copy(), axis=-1)
+            np.add(np.add(np.add(np.multiply(0.3, last), np.multiply(np.multiply(0.05, last), total)), drive[t]),
+                   0.1, out=y[t, ...])  # a view, 0-d for one sequence, where y[t] would be a scalar
+    y = np.ascontiguousarray(np.moveaxis(y, 0, -1))
     diverged = np.nonzero(np.abs(y) > NARMA_DIVERGENCE_LIMIT)[-1]
     if len(diverged):
         raise ValueError(f"NARMA{order} diverged at step {diverged.min()}")

@@ -6,14 +6,17 @@ Two quantum models are provided:
   encoding: one subsystem is replaced each step by an input-parametrized
   pure state, then the whole register evolves under exp(-iH).  The state
   of each reset qubit is sigma(u) = c c^dag, with c = U(u)|0> and
-  U(u) = U3^dag Rz(arccos u) U3 built with one matmul.
+  U(u) = U3^dag Rz(arccos u) U3, one (rows, 2) @ (2, 2) GEMM per axis frame.
 * ``SubsetReservoir`` -- a two-qubit reservoir with local random
   unitaries, amplitude damping on qubit 0 and a fractional-CNOT
   entangler, driven by a product R_Y input rotation.
 
 Every ``step``, and ``run_reservoir``, also acts on a stack of density
 matrices, shape (..., d, d), driven by inputs of the stack's leading shape:
-each trajectory of a stack goes through the numpy calls a single one does.
+each trajectory of a stack gets the bits a single one does.  Its rows share
+GEMMs with those of other trajectories (the encode, the conjugation by
+exp(-iH), the readout), and each such GEMM adds a row's terms in the order of
+that row's own product.
 ``run_reservoir`` returns the readout as a plain float array, one column per
 Pauli string of ``qmat.all_pauli_strings``.  It has one loop for every model,
 state <- evolve(state, encode(u)), with one ``encode`` and one readout per
@@ -217,14 +220,24 @@ def axis_frame_unitary(axis: AxisConfig) -> np.ndarray:
 
 def input_unitary(u, axis) -> np.ndarray:
     """Rotation by theta = arccos(u) about the given axis, U3^dag Rz(theta) U3, shape np.shape(u) + (2, 2):
-    the diagonal Rz(theta) = diag(e^{-i theta/2}, e^{i theta/2}) scales the columns of U3^dag, one matmul.
-    `axis` is an AxisConfig, or a stack of `axis_frame_unitary` frames, shape (..., 2, 2), that broadcasts
-    against u: each entry of u then turns about its own axis, bit for bit as with that axis alone."""
+    the diagonal Rz(theta) = diag(e^{-i theta/2}, e^{i theta/2}) scales the columns of U3^dag, and each
+    frame U3 then multiplies the rows of all its inputs in one (rows, 2) @ (2, 2) GEMM.  `axis` is an
+    AxisConfig, or a stack of `axis_frame_unitary` frames, shape (..., 2, 2), that broadcasts against u:
+    each entry of u then turns about its own axis.  Either way each U(u) has the bits of its own 2 x 2
+    product: no GEMM dimension falls below 2."""
     _check_inputs(u)
     frame = axis_frame_unitary(axis) if isinstance(axis, AxisConfig) else axis
     theta = np.arccos(u)
     rz = np.stack([np.exp(-0.5j * theta), np.exp(0.5j * theta)], axis=-1)
-    return (frame.conj().swapaxes(-1, -2) * rz[..., None, :]) @ frame
+    left = frame.conj().swapaxes(-1, -2) * rz[..., None, :]
+    unitary = np.empty_like(left)
+    # the axes that pick a frame go first, as views: copying one frame's rows at a time, not the whole
+    # stack transposed, keeps the peak memory of a single stacked product
+    own = [left.ndim - frame.ndim + i for i, size in enumerate(frame.shape[:-2]) if size > 1]
+    rows, into = np.moveaxis(left, own, range(len(own))), np.moveaxis(unitary, own, range(len(own)))
+    for index, f in zip(np.ndindex(rows.shape[:len(own)]), frame.reshape(-1, 2, 2)):
+        into[index] = (rows[index].reshape(-1, 2) @ f).reshape(rows[index].shape)
+    return unitary
 
 
 def encoded_state(u, axis, n_qubits: int = 1) -> np.ndarray:
@@ -456,8 +469,21 @@ def pauli_operators(n_qubits: int) -> np.ndarray:
 
 def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarray:
     """Real expectation values tr(P rho), shape (..., B), for a stacked (B, d, d)
-    operator array and a state or (..., d, d) stack of states."""
-    return np.einsum("bij,...ji->...b", basis_matrices, rho).real
+    operator array and a state or (..., d, d) stack of states.
+
+    Re tr(P rho) = sum_ij Re P_ij Re rho_ji - Im P_ij Im rho_ji, one real GEMM: the rows vec(rho^T) as
+    float pairs, (rows, 2 d^2), times the C-contiguous (2 d^2, B) weights [Re P, -Im P] (a transposed
+    view would hand BLAS a transposed operand, which sums in another order).  On Pauli strings every
+    entry is 0, +-1 or +-i, so each product is exact and the sum adds the terms of the per-matrix
+    einsum ``np.einsum("bij,...ji->...b", P, rho).real`` in its (i, j) order: the bits are that
+    einsum's.  Pass the full basis of `pauli_operators` and select columns of the result: a GEMM over a
+    few strings rounds unlike the full one, and a batch would no longer equal its rows."""
+    count, d = len(basis_matrices), basis_matrices.shape[-1]
+    weights = np.empty((d, d, 2, count))
+    weights[..., 0, :] = np.moveaxis(basis_matrices.real, 0, -1)
+    weights[..., 1, :] = np.moveaxis(-basis_matrices.imag, 0, -1)
+    pairs = np.ascontiguousarray(np.swapaxes(rho, -1, -2), dtype=complex).view(float)
+    return (pairs.reshape(-1, 2 * d * d) @ weights.reshape(-1, count)).reshape(pairs.shape[:-2] + (count,))
 
 
 TRANSFER_BLOCK = 64  # steps encoded at once and kept for one readout, so memory does not grow with T
@@ -495,7 +521,7 @@ def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarr
     batch = np.broadcast_shapes(inputs.shape[:-1], np.shape(rho0)[:-2])
     before = hasattr(model, "read")  # the buffer then holds the state before each step, the block's first at 0
     if before:
-        state, dtype, readout = pauli_expectations(rho0, ops[model.columns])[..., None], float, model.read
+        state, dtype, readout = pauli_expectations(rho0, ops)[..., model.columns, None], float, model.read
     elif hasattr(model, "transfer"):
         state, dtype, readout = pauli_expectations(rho0, ops)[..., None], float, lambda x, _: x[..., 0]
     else:

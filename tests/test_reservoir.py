@@ -135,6 +135,18 @@ def test_encoding_is_its_matrix_product_definition_bit_for_bit():
         unitary, sigma = oracle(u, axis)
         assert np.array_equal(rv.input_unitary(u, axis), unitary)
         assert np.array_equal(rv.encoded_state(u, axis), sigma)
+    # a stack of frames, one per point as a chunk of the sweep passes them: each point's rows as with its own axis
+    axes = [rv.AxisConfig(azimuth=a, polar=p) for p in polars for a in azimuths]
+    for count in (1, 9):
+        points = [axes[i] for i in rng.choice(len(axes), count, replace=False)]
+        frames = np.stack([rv.axis_frame_unitary(axis) for axis in points])[:, None]
+        u = rng.uniform(-1.0, 1.0, (64, count, 2))
+        u.flat[:3] = (-1.0, 0.0, 1.0)
+        unitary, sigma = rv.input_unitary(u, frames), rv.encoded_state(u, frames)
+        assert unitary.shape == sigma.shape == (64, count, 2, 2, 2)
+        for p, axis in enumerate(points):
+            assert np.array_equal(unitary[:, p], rv.input_unitary(u[:, p], axis))
+            assert np.array_equal(sigma[:, p], rv.encoded_state(u[:, p], axis))
 
 
 def test_encoded_state_expectation_along_z_axis():
@@ -452,6 +464,19 @@ def test_kept_map_matches_density_matrix_step(n, reset):
             rho = model.step(rho, u)
             expected.append(rv.pauli_expectations(rho, ops))
         assert np.abs(rv.run_reservoir(kept, inputs, rho0) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_expectations_equal_the_per_matrix_einsum_bit_for_bit(n):
+    # the readout GEMM adds the exact products P_ij rho_ji in the einsum's (i, j) order
+    ops, d = rv.pauli_operators(n), 2**n
+    rng = np.random.default_rng(40 + n)
+    for shape in ((), (1,), (2,), (7,), (64, 12), (64, 9, 2)):
+        a = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+        w = qmat.haar_random_unitary(d, rng)
+        # Hermitian, non-Hermitian, and U P U^dag over the basis, as NsReservoir.kept passes it
+        for rho in (a @ a.conj().swapaxes(-1, -2), a, w @ ops[rng.integers(len(ops), size=shape)] @ w.conj().T):
+            assert np.array_equal(rv.pauli_expectations(rho, ops), np.einsum("bij,...ji->...b", ops, rho).real)
 
 
 def test_pauli_expectations_roundtrip():
