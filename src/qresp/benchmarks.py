@@ -116,6 +116,14 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
     readout column plays the role of the intercept.  `features` has one row
     per target row, or leaves out the washout rows before the train start,
     which the fit never reads.
+
+    One thin SVD of the training block gives both.  The weights are
+    ``np.linalg.pinv(x_train) @ y_train`` by pinv's own arithmetic, bit for
+    bit: singular values up to numpy's default cut, 1e-15 times the largest,
+    are dropped.  The flag is ``np.linalg.matrix_rank(x_train) < columns``,
+    from the same singular values at matrix_rank's cut, max(rows, columns)
+    times eps times the largest.  The weights keep numpy's cut because moving
+    it moves the pole narma2 cells of the benchmark's reference fields.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -126,8 +134,13 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
                          f"nor its {len(y) - train_start} rows after the washout")
     x_train, y_train = x[train_start - skipped:test_start - skipped], y[train_start:test_start]
 
-    degenerate = np.linalg.matrix_rank(x_train) < x.shape[1]
-    weights = np.linalg.pinv(x_train) @ y_train
+    u, s, vt = np.linalg.svd(x_train.conj(), full_matrices=False)
+    largest = s.max(initial=0.0)
+    degenerate = np.count_nonzero(s > largest * (max(x_train.shape) * np.finfo(float).eps)) < x.shape[1]
+    large = s > 1e-15 * largest
+    np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    weights = vt.T @ (s[:, None] * u.T) @ y_train
     return ReadoutFit(
         weights=weights,
         predictions=x[test_start - skipped:] @ weights,

@@ -66,7 +66,10 @@ def ry(angle) -> np.ndarray:
 def input_features(u, copies: int = 1) -> np.ndarray:
     """c(u) = (1, u, sqrt(1 - u^2)) on a new last axis, or for `copies` > 1 the products of one entry of each
     copy, 3**copies of them in product order: a transfer map is linear in these.  Inputs are not checked."""
-    c = np.stack([np.ones_like(u), u, np.sqrt(1.0 - u * u)], axis=-1)
+    c = np.empty(np.shape(u) + (3,))
+    c[..., 0] = 1.0
+    c[..., 1] = u
+    np.sqrt(1.0 - u * u, out=c[..., 2])
     features = c
     for _ in range(copies - 1):
         features = (features[..., :, None] * c[..., None, :]).reshape(c.shape[:-1] + (-1,))
@@ -502,11 +505,12 @@ def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarr
     The first time index with an input outside [-1, 1], or a readout outside
     it by more than 1e-9 (nan included), raises.  Every model runs state <-
     evolve(state, encode(u)), with one `encode`, one readout and its range
-    check per block of steps.  The state is rho, bit for bit with a loop over
-    `step`, or on a model with a `transfer` map the Pauli vector
-    (``SubsetReservoir``, read out as it stands) or its kept part
-    (``KeptMap``, read out from the state before each step), equal to `step`
-    to rounding; a batch equals its rows.
+    check per block of steps.  The check takes the block's max and min once;
+    only a failing block is searched row by row for its first bad index.
+    The state is rho, bit for bit with a loop over `step`, or on a model
+    with a `transfer` map the Pauli vector (``SubsetReservoir``, read out as
+    it stands) or its kept part (``KeptMap``, read out from the state before
+    each step), equal to `step` to rounding; a batch equals its rows.
     """
     inputs = np.asarray(inputs, dtype=float)
     steps = inputs.shape[-1]
@@ -537,8 +541,9 @@ def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarr
         for sigma, out in zip(encoded, states[before:]):
             state = model.evolve(state, sigma, out)
         read = readout(states[:len(block)], block)
-        over = ~(np.maximum(read.max(axis=-1), -read.min(axis=-1)) <= 1.0 + 1e-9)
-        if over.any():
+        # the whole block at once: nan fails both tests, an empty batch passes
+        if not (read.max(initial=0.0) <= 1.0 + 1e-9 and read.min(initial=0.0) >= -(1.0 + 1e-9)):
+            over = ~(np.maximum(read.max(axis=-1), -read.min(axis=-1)) <= 1.0 + 1e-9)
             raise RuntimeError(f"readout out of range at time index {start + np.nonzero(over)[0].min()}")
         skip = max(washout - start, 0)  # the block's rows before the washout's end
         if skip < len(block):

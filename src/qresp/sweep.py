@@ -220,6 +220,14 @@ def point_seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(master_seed, index))
 
 
+def point_rng(master_seed: int, index: int, stream: str) -> np.random.Generator:
+    """Point `index`'s generator of the named stream: child METRICS.index(stream) of its
+    `point_seed_sequence`, built alone, without spawning the other children.  Appending to
+    METRICS moves no existing stream."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=(master_seed, index), spawn_key=(METRICS.index(stream),)))
+
+
 def _build_model(cfg: SweepConfig, coord: tuple[float, float]):
     if cfg.experiment == "subset_gamma_p_grid":
         p, gamma = coord
@@ -265,18 +273,15 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     Each point draws from its own streams; each kind of run drives the rows of all points in
     one `run_reservoir` call, and each point finishes its metrics on its own rows.  Several
     points must lie on one axis grid: each readout is then bit for bit the point's own.  The
-    indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others rho."""
+    indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others rho.
+    A point's generator of a stream (`point_rng`) is built only when a metric draws from it."""
     models = [_build_model(cfg, coord) for _, coord in points]
-    seeds = [point_seed_sequence(cfg.seed, i).spawn(len(METRICS)) for i, _ in points]
     values: list[dict] = [{} for _ in points]
-
-    def rng(p: int, stream: str) -> np.random.Generator:
-        """Point p's generator of the named stream, built only when a metric draws from it."""
-        return np.random.default_rng(seeds[p][METRICS.index(stream)])
 
     def drive(stream: str, draw, stepper=lambda model: model, washout=0):
         """Each point's draw(model, rng) from its stream, stacked, and one run of all their steppers."""
-        inputs, rho0 = map(np.stack, zip(*(draw(model, rng(p, stream)) for p, model in enumerate(models))))
+        inputs, rho0 = map(np.stack, zip(*(draw(model, point_rng(cfg.seed, index, stream))
+                                           for (index, _), model in zip(points, models))))
         return inputs, rho0, run_reservoir(_joint([stepper(model) for model in models]), inputs, rho0, washout=washout)
 
     ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len)
@@ -304,11 +309,12 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     if {"mc", "ipc"} & set(cfg.metrics):
         inputs, _, trajs = drive("mc", lambda m, rng: _drawn(m, rng, cfg.mc_len, -1.0, 1.0))
         ipc_cfg = benchmarks.IpcConfig(budget=cfg.ipc_budget, surrogate_count=cfg.ipc_surrogates)
-        for p, (point, u, traj) in enumerate(zip(values, inputs, trajs)):
+        for (index, _), point, u, traj in zip(points, values, inputs, trajs):
             if "mc" in cfg.metrics:
                 point["mc"] = benchmarks.mc_report(u, traj, cfg.mc_max_delay, cfg.mc_washout).total
             if "ipc" in cfg.metrics:
-                point["ipc"] = benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout, rng(p, "ipc")).total
+                point["ipc"] = benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout,
+                                                     point_rng(cfg.seed, index, "ipc")).total
     if "rank" in cfg.metrics:
         _, _, trajs = drive("rank", lambda m, rng: _drawn(m, rng, cfg.rank_len + cfg.rank_washout, -1.0, 1.0))
         for point, traj in zip(values, trajs):

@@ -131,6 +131,39 @@ def test_linear_readout_flags_degenerate_features():
     assert fit.degenerate
 
 
+def _polar0_narma_design(rng):
+    model = rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth=0.7, polar=0.0)))
+    u = rng.uniform(0.0, 0.5, 1200)
+    rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    return rv.run_reservoir(model, u, rho0), bm.narma_generate(u, 2)
+
+
+@pytest.mark.parametrize(
+    "design", ["full-rank", "constant", "duplicate", "near-duplicate", "small-column", "polar-0-narma"])
+def test_linear_readout_is_pinv_and_matrix_rank_bit_for_bit(design):
+    # one SVD gives pinv's weights and matrix_rank's flag
+    rng = np.random.default_rng(31)
+    feats = rng.standard_normal((400, 6))
+    if design == "constant":
+        feats[:, 2] = 1.0
+    elif design == "duplicate":
+        feats[:, 4] = feats[:, 1]
+    elif design == "near-duplicate":  # its last singular value lies between the two cuts: pinv keeps it
+        feats[:, 4] = feats[:, 1] + 1e-14 * rng.standard_normal(len(feats))
+    elif design == "small-column":
+        feats[:, 3] *= 1e-7
+    target = feats @ rng.standard_normal(6) + 0.1 * rng.standard_normal(len(feats))
+    if design == "polar-0-narma":
+        feats, target = _polar0_narma_design(rng)
+    split = bm.SplitSpec()
+    train_start, test_start = split.boundaries(len(target))
+    x_train, y_train = feats[train_start:test_start], target[train_start:test_start]
+    fit = bm.train_linear_readout(feats, target, split)
+    assert np.array_equal(fit.weights, np.linalg.pinv(x_train) @ y_train)
+    assert fit.degenerate == (np.linalg.matrix_rank(x_train) < feats.shape[1])
+    assert fit.degenerate == (design in ("duplicate", "near-duplicate", "polar-0-narma"))
+
+
 def test_rnmse_oracle():
     target = np.array([1.0, 2.0, 3.0, 4.0])
     pred = target + 0.5

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,74 @@ def test_run_reservoir_checks_readout_inside_washout():
     inputs[70] = 0.5  # in the second block, before the washout's end
     with pytest.raises(RuntimeError, match="readout out of range at time index 70$"):
         rv.run_reservoir(Kicked(0.2), inputs, np.eye(4, dtype=complex) / 4, washout=100)
+
+
+def _with_readouts(model, bad: dict):
+    """A copy of `model` whose readout at time index t of batch row r reads bad[t, r] exactly: a kept
+    map's `read` writes it into column 5; otherwise `evolve` sets the state after step t, a Pauli
+    vector to bad[t, r] in component 5, a density matrix to bad[t, r] at entry (0, 0) and 0 elsewhere,
+    which every Z-type string, the identity included, reads as bad[t, r] and the others as 0."""
+    copy = object.__new__(type(model))
+    copy.__dict__.update(model.__dict__)
+    steps = itertools.count()  # blocks read, or steps evolved
+    if hasattr(model, "read"):
+        def read(k, u):
+            y, start = type(model).read(model, k, u), next(steps) * rv.TRANSFER_BLOCK
+            for (t, r), value in bad.items():
+                if start <= t < start + len(u):
+                    y[t - start, r, 5] = value
+            return y
+
+        copy.read = read
+    else:
+        def evolve(state, m, out=None):
+            new, t = type(model).evolve(model, state, m, out), next(steps)
+            for r in (r for (at, r) in bad if at == t):
+                if new.shape[-1] == 1:
+                    new[r, 5, 0] = bad[t, r]
+                else:
+                    new[r] = 0.0
+                    new[r, 0, 0] = bad[t, r]
+            return new
+
+        copy.evolve = evolve
+    return copy
+
+
+@pytest.mark.parametrize("model", [NS_2Q, SUBSET, NS_2Q.kept], ids=["rho", "subset", "kept"])
+@pytest.mark.parametrize("value", [np.nan, 1.0 + 2e-9, -1.0 - 2e-9], ids=["nan", "above", "below"])
+@pytest.mark.parametrize(
+    "bad, washout, first",
+    [
+        ({(40, 0): None}, 0, 40),  # mid-block, first row
+        ({(2 * rv.TRANSFER_BLOCK + 3, 2): None}, 0, 2 * rv.TRANSFER_BLOCK + 3),  # last, partial block
+        ({(100, 0): None, (70, 1): None}, 0, 70),  # the first bad time index, in another row
+        ({(70, 2): None}, 110, 70),  # before the washout's end
+    ],
+    ids=["mid-block", "last-block", "first-of-two", "in-washout"],
+)
+def test_run_reservoir_names_the_first_bad_readout(model, value, bad, washout, first):
+    # a block is checked whole; when it fails, the message names the first time index of any row
+    rng = np.random.default_rng(47)
+    steps = 2 * rv.TRANSFER_BLOCK + 5
+    inputs = rng.uniform(-1, 1, (3, steps))
+    states = np.stack([qmat.haar_random_pure_state(2, rng) for _ in range(3)])
+    poisoned = _with_readouts(model, dict.fromkeys(bad, value))
+    with pytest.raises(RuntimeError, match=f"^readout out of range at time index {first}$"):
+        rv.run_reservoir(poisoned, inputs, states, washout=washout)
+
+
+@pytest.mark.parametrize("model", [NS_2Q, SUBSET, NS_2Q.kept], ids=["rho", "subset", "kept"])
+def test_run_reservoir_passes_readouts_at_the_bound(model):
+    rng = np.random.default_rng(53)
+    steps = 2 * rv.TRANSFER_BLOCK + 5
+    inputs = rng.uniform(-1, 1, (3, steps))
+    states = np.stack([qmat.haar_random_pure_state(2, rng) for _ in range(3)])
+    bound = 1.0 + 1e-9
+    # at the last step, which no later readout reads
+    poisoned = _with_readouts(model, {(steps - 1, 1): bound, (steps - 1, 2): -bound})
+    column = 0 if model is NS_2Q else 5
+    assert np.array_equal(rv.run_reservoir(poisoned, inputs, states)[1:, -1, column], [bound, -bound])
 
 
 @pytest.mark.parametrize(

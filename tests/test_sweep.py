@@ -56,6 +56,15 @@ def test_point_seed_sequence_stable_and_distinct():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed, index", [(0, 0), (3, 7), (9, 71)])
+def test_point_rng_is_the_streams_spawned_child(seed, index):
+    # each stream's generator is child k of the point's seed sequence, as when all children were spawned
+    children = sweep.point_seed_sequence(seed, index).spawn(len(sweep.METRICS))
+    for k, stream in enumerate(sweep.METRICS):
+        expected = np.random.default_rng(children[k]).random(8)
+        assert np.array_equal(sweep.point_rng(seed, index, stream).random(8), expected), stream
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         sweep.SweepConfig(experiment="unknown")
