@@ -17,6 +17,8 @@ capacity asks for must lie within the washout.  Both build their targets
 term-major in blocks of CAPACITY_BLOCK_BYTES, never fewer than Q has columns,
 one GEMM per block; a shuffle surrogate permutes the rows of Q instead of the
 targets (Q^T v[perm] = Q_perm^T v, Q_perm[perm] = Q), one scatter per surrogate.
+The first surrogate is evaluated in the value pass, on the raw targets it has
+just built.  Trajectory rank counts singular values alone.
 """
 
 from __future__ import annotations
@@ -192,14 +194,16 @@ def _capacity_basis(inputs, features, washout: int, max_delay: int) -> tuple[np.
 def _capacities(q: np.ndarray, table: dict, terms: list, washout: int, perms) -> tuple[np.ndarray, ...]:
     """Capacities of the targets of `terms`, zeroed where a shuffle surrogate
     (a row order from the iterable `perms`, taken only while some target is
-    unreached) reaches them, and the mask of zeroed ones.
+    unreached) reaches them, and the mask of zeroed ones.  Centers `q` in place.
 
     The target of a term, a tuple of (delay k, degree d) factors, is at row t
-    the product of table[d][washout + t - k].  Each pass rebuilds its targets,
+    the product of table[d][washout + t - k].  A pass builds its targets,
     term-major, in blocks of CAPACITY_BLOCK_BYTES but never fewer than Q has
-    columns, one GEMM per block.  The first pass centers them.  A surrogate
-    pass takes the targets no earlier one has reached against Q_perm, where
-    Q_perm[perm] = Q - mean(Q): Q_perm^T v = Q^T (v[perm] - mean v).
+    columns, one GEMM per block.  A surrogate takes the raw targets no earlier
+    one has reached against Q_perm, where Q_perm[perm] = Q - mean(Q):
+    Q_perm^T v = Q^T (v[perm] - mean v).  The first surrogate reaches every
+    target, so the value pass projects each raw block for it before centering
+    the block; Q is then centered once, and each later surrogate is one scatter.
     """
     n, r = q.shape
     cols = max(1, r, CAPACITY_BLOCK_BYTES // (8 * n))
@@ -213,31 +217,40 @@ def _capacities(q: np.ndarray, table: dict, terms: list, washout: int, perms) ->
             block = buffer[: len(chunk)]
             for target, row in zip(block, chunk):
                 (delay, part), *rest = terms[row]
-                target[:] = table[part][washout - delay : washout - delay + n]
+                source = table[part][washout - delay : washout - delay + n]
+                if not rest:
+                    target[:] = source
                 for delay, part in rest:
-                    target *= table[part][washout - delay : washout - delay + n]
+                    np.multiply(source, table[part][washout - delay : washout - delay + n], out=target)
+                    source = target
             yield slice(start, start + len(block)), block
 
     def ratio(proj, norm2):
         """||Q^T v_c||^2 / ||v_c||^2, and 0 for a constant target (norm2 0)."""
         return np.divide(proj, norm2, out=np.zeros_like(proj), where=norm2 != 0.0)
 
-    alive = np.arange(len(terms))
-    proj, norm2 = np.empty(len(terms)), np.empty(len(terms))
+    alive, perms, means = np.arange(len(terms)), iter(perms), q.mean(axis=0)
+    perm = next(perms, None)
+    if perm is not None:
+        shuffled[perm] = q
+        shuffled -= means
+    proj, norm2, reached = np.empty(len(terms)), np.empty(len(terms)), np.empty(len(terms))
     for part, block in blocks(alive):
+        if perm is not None:
+            reached[part] = np.sum((block @ shuffled) ** 2, axis=-1)
         block -= block.mean(axis=1, keepdims=True)
         norm2[part] = np.einsum("ij,ij->i", block, block)
         proj[part] = np.sum((block @ q) ** 2, axis=-1)
-    values, means = ratio(proj, norm2), q.mean(axis=0)
-    for perm in perms:
-        shuffled[perm] = q
-        shuffled -= means
-        proj = np.empty(len(alive))
-        for part, block in blocks(alive):
-            proj[part] = np.sum((block @ shuffled) ** 2, axis=-1)
-        alive = alive[ratio(proj, norm2[alive]) < values[alive]]
-        if not len(alive):
-            break
+    values = ratio(proj, norm2)
+    q -= means
+    while perm is not None:  # `reached` holds this surrogate's projections of the alive targets
+        alive = alive[ratio(reached, norm2[alive]) < values[alive]]
+        perm = next(perms, None) if len(alive) else None
+        if perm is not None:
+            shuffled[perm] = q
+            reached = np.empty(len(alive))
+            for part, block in blocks(alive):
+                reached[part] = np.sum((block @ shuffled) ** 2, axis=-1)
     zeroed = np.ones(len(terms), dtype=bool)
     zeroed[alive] = False  # every target when there are no surrogates
     values[zeroed] = 0.0
@@ -408,7 +421,9 @@ def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> 
     x = np.asarray(features, dtype=float)[washout:]
     if len(x) == 0:
         raise ValueError("no rows after washout")
-    return RankResult(
-        raw=_svd_basis(x, rel_threshold).shape[1],
-        centered=_svd_basis(x - x.mean(axis=0), rel_threshold).shape[1],
-    )
+
+    def count(m: np.ndarray) -> int:
+        s = np.linalg.svd(m, compute_uv=False)
+        return int(np.count_nonzero(s > rel_threshold * s[0]))
+
+    return RankResult(raw=count(x), centered=count(x - x.mean(axis=0)))

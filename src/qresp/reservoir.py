@@ -42,6 +42,7 @@ used in the property suites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -72,7 +73,7 @@ def input_features(u, copies: int = 1) -> np.ndarray:
     np.sqrt(1.0 - u * u, out=c[..., 2])
     features = c
     for _ in range(copies - 1):
-        features = (features[..., :, None] * c[..., None, :]).reshape(c.shape[:-1] + (-1,))
+        features = (features[..., :, None] * c[..., None, :]).reshape(c.shape[:-1] + (3 * features.shape[-1],))
     return features
 
 
@@ -372,7 +373,7 @@ class KeptMap:
         features = input_features(u, self.reset_count)
         features = features.reshape(features.shape[:1] + (1,) * (k.ndim - features.ndim - 1) + features.shape[1:])
         rows = np.moveaxis(features[..., :, None] * k[..., None, :, 0], 0, -3)
-        return np.moveaxis(rows.reshape(rows.shape[:-2] + (-1,)) @ self.readout_terms, -2, 0)
+        return np.moveaxis(rows.reshape(rows.shape[:-2] + (math.prod(rows.shape[-2:]),)) @ self.readout_terms, -2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,7 @@ class SubsetReservoir:
         T(u) tr(P_k rho) is the readout of `step(rho, u)` to rounding.  Inputs are not checked.  Each column
         u[:, b] gets a GEMM of its own, as alone: a one-row product rounds unlike a row of a larger one."""
         u = np.asarray(u, dtype=float)
-        cc = input_features(u, 2).reshape(len(u) if u.ndim else 1, -1, 9)
+        cc = input_features(u, 2).reshape(len(u) if u.ndim else 1, math.prod(u.shape[1:]), 9)
         return (cc.swapaxes(0, 1) @ self.transfer_terms).swapaxes(0, 1).reshape(u.shape + (16, 16))
 
     encode = transfer
@@ -510,7 +511,8 @@ def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarr
     The state is rho, bit for bit with a loop over `step`, or on a model
     with a `transfer` map the Pauli vector (``SubsetReservoir``, read out as
     it stands) or its kept part (``KeptMap``, read out from the state before
-    each step), equal to `step` to rounding; a batch equals its rows.
+    each step), equal to `step` to rounding; a batch equals its rows, and an
+    empty batch gives an empty readout.
     """
     inputs = np.asarray(inputs, dtype=float)
     steps = inputs.shape[-1]

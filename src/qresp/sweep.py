@@ -267,6 +267,17 @@ def _joint(models):
     return SimpleNamespace(n_qubits=first.n_qubits, evolve=first.evolve, encode=encode)
 
 
+def _capacity_runs(cfg: SweepConfig) -> dict:
+    """The stream and length of each row of a point's capacity batch: the mc run, which mc and ipc read, then
+    the rank run."""
+    runs = {}
+    if {"mc", "ipc"} & set(cfg.metrics):
+        runs["mc"] = cfg.mc_len
+    if "rank" in cfg.metrics:
+        runs["rank"] = cfg.rank_len + cfg.rank_washout
+    return runs
+
+
 def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     """Every requested metric at each of `points`, (index, coord) pairs of the grid.
 
@@ -274,13 +285,21 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     one `run_reservoir` call, and each point finishes its metrics on its own rows.  Several
     points must lie on one axis grid: each readout is then bit for bit the point's own.  The
     indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others rho.
-    A point's generator of a stream (`point_rng`) is built only when a metric draws from it."""
+    A point's generator of a stream (`point_rng`) is built only when a metric draws from it.
+
+    A point's capacity run (`_capacity_runs`) holds its mc run, which mc and ipc read, and its
+    rank run as two rows of one batch, each drawn from its own stream.  The shorter row is
+    zero-padded to the longer, and its padded steps are read out and range-checked, then dropped;
+    the mc rows are copied out, so that the batch is freed before IPC.  Each point's metrics are
+    filled in one order, whatever order the config names them in: esp, ns_esp, ns_esp_damping,
+    ns_esp_nondamping, narma2, narma10, mc, ipc, rank."""
     models = [_build_model(cfg, coord) for _, coord in points]
     values: list[dict] = [{} for _ in points]
 
-    def drive(stream: str, draw, stepper=lambda model: model, washout=0):
-        """Each point's draw(model, rng) from its stream, stacked, and one run of all their steppers."""
-        inputs, rho0 = map(np.stack, zip(*(draw(model, point_rng(cfg.seed, index, stream))
+    def drive(streams, draw, stepper=lambda model: model, washout=0):
+        """Each point's draw(model, *rngs), one generator of each named stream, stacked, and one run of all
+        their steppers."""
+        inputs, rho0 = map(np.stack, zip(*(draw(model, *(point_rng(cfg.seed, index, s) for s in streams))
                                            for (index, _), model in zip(points, models))))
         return inputs, rho0, run_reservoir(_joint([stepper(model) for model in models]), inputs, rho0, washout=washout)
 
@@ -289,7 +308,7 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
                              ("ns_esp_nondamping", espmetrics.non_damping_subsystem_selection)):
         names = [name for name in (("esp", "ns_esp") if stream == "esp" else (stream,)) if name in cfg.metrics]
         if names:
-            _, rho0, trajs = drive(stream, lambda m, rng: espmetrics.ensemble_draws(m.n_qubits, *ensemble, rng),
+            _, rho0, trajs = drive([stream], lambda m, rng: espmetrics.ensemble_draws(m.n_qubits, *ensemble, rng),
                                    espmetrics.stepped)
             columns = selector and selector(qmat.all_pauli_strings(models[0].n_qubits))
             for point, states, traj in zip(values, rho0, trajs):
@@ -300,25 +319,38 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     split = benchmarks.SplitSpec()
     for name, order in (("narma2", 2), ("narma10", 10)):
         if name in cfg.metrics:
-            inputs, _, trajs = drive(name, lambda m, rng: map(np.stack, zip(
+            inputs, _, trajs = drive([name], lambda m, rng: map(np.stack, zip(
                 *[_drawn(m, rng, cfg.narma_len, 0.0, 0.5) for _ in range(cfg.narma_sequences)])),
                 washout=split.boundaries(cfg.narma_len)[0])
             for point, targets, features in zip(values, benchmarks.narma_generate(inputs, order), trajs):
                 fits = [benchmarks.train_linear_readout(x, y, split) for x, y in zip(features, targets)]
                 point[name] = float(np.mean([benchmarks.rnmse(fit.test_target, fit.predictions) for fit in fits]))
-    if {"mc", "ipc"} & set(cfg.metrics):
-        inputs, _, trajs = drive("mc", lambda m, rng: _drawn(m, rng, cfg.mc_len, -1.0, 1.0))
+    runs = _capacity_runs(cfg)
+    if runs:
+        steps = max(runs.values())
+
+        def padded(model, *rngs):
+            inputs, rho0 = np.zeros((len(runs), steps)), []
+            for row, length, rng in zip(inputs, runs.values(), rngs):
+                u, rho = _drawn(model, rng, length, -1.0, 1.0)
+                row[:length] = u
+                rho0.append(rho)
+            return inputs, np.stack(rho0)
+
+        inputs, _, trajs = drive(runs, padded)
+        ranks = [{"rank": float(benchmarks.trajectory_rank(traj[-1, :runs["rank"]], cfg.rank_threshold,
+                                                           cfg.rank_washout).raw)} if "rank" in runs else {}
+                 for traj in trajs]
+        if "mc" in runs:  # the mc rows copied out, so that the batch is freed before IPC
+            inputs, trajs = inputs[:, 0, :cfg.mc_len].copy(), trajs[:, 0, :cfg.mc_len].copy()
         ipc_cfg = benchmarks.IpcConfig(budget=cfg.ipc_budget, surrogate_count=cfg.ipc_surrogates)
-        for (index, _), point, u, traj in zip(points, values, inputs, trajs):
+        for (index, _), point, u, traj, rank in zip(points, values, inputs, trajs, ranks):
             if "mc" in cfg.metrics:
                 point["mc"] = benchmarks.mc_report(u, traj, cfg.mc_max_delay, cfg.mc_washout).total
             if "ipc" in cfg.metrics:
                 point["ipc"] = benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout,
                                                      point_rng(cfg.seed, index, "ipc")).total
-    if "rank" in cfg.metrics:
-        _, _, trajs = drive("rank", lambda m, rng: _drawn(m, rng, cfg.rank_len + cfg.rank_washout, -1.0, 1.0))
-        for point, traj in zip(values, trajs):
-            point["rank"] = float(benchmarks.trajectory_rank(traj, cfg.rank_threshold, cfg.rank_washout).raw)
+            point.update(rank)
     return values
 
 
@@ -332,7 +364,8 @@ def chunk_size(cfg: SweepConfig) -> int:
     axis grid, as many as fit CHUNK_BYTES with the kept readout rows (4**n floats, 128 bytes, a
     step) and the 64-step block buffers (state, inputs, readout and their temporaries, about 576
     bytes a step on either path, measured) of each row of their largest run; one on the gamma-p
-    grid, whose models share no map.  A NARMA run keeps its rows from the washout's end on."""
+    grid, whose models share no map.  A NARMA run keeps its rows from the washout's end on, and
+    a capacity run is charged as its rows, mc and rank, at the longer of their lengths."""
     if cfg.experiment == "subset_gamma_p_grid":
         return 1
     metrics, runs = set(cfg.metrics), []  # (rows, kept steps) of each run
@@ -340,10 +373,9 @@ def chunk_size(cfg: SweepConfig) -> int:
         runs.append((cfg.indicator_inputs * cfg.indicator_states, cfg.indicator_len))
     if {"narma2", "narma10"} & metrics:
         runs.append((cfg.narma_sequences, cfg.narma_len - benchmarks.SplitSpec().boundaries(cfg.narma_len)[0]))
-    if {"mc", "ipc"} & metrics:
-        runs.append((1, cfg.mc_len))
-    if "rank" in metrics:
-        runs.append((1, cfg.rank_len + cfg.rank_washout))
+    capacity = _capacity_runs(cfg)
+    if capacity:
+        runs.append((len(capacity), max(capacity.values())))
     largest = max(rows * (128 * steps + 576 * TRANSFER_BLOCK) for rows, steps in runs)
     return max(1, CHUNK_BYTES // largest)
 

@@ -405,13 +405,14 @@ def permutations_drawn(rng, seed, n, most):
         lambda: subset_case(20),
         lambda: subset_case(0),
         lambda: subset_case(7),
+        lambda: subset_case(1),  # its one surrogate is evaluated inside the value pass
         delay_line_case,
         constant_target_case,
         first_surrogate_case,
     ],
     ids=[
-        "subset-n4000", "subset-no-surrogates", "subset-7-surrogates", "delay-line-one-target-per-block",
-        "constant-target", "all-reached-by-first-surrogate",
+        "subset-n4000", "subset-no-surrogates", "subset-7-surrogates", "subset-1-surrogate",
+        "delay-line-one-target-per-block", "constant-target", "all-reached-by-first-surrogate",
     ],
 )
 def test_ipc_report_matches_per_target_loop(case):

@@ -488,6 +488,16 @@ def test_run_reservoir_batch_equals_its_rows(model, n_rows, last_block):
         assert np.array_equal(result, np.stack(expected, axis=-2))
 
 
+@pytest.mark.parametrize(
+    "model", [NS_2Q, SUBSET, NS_2Q.kept, NS_3Q_RESET12.kept], ids=["ns-2q", "subset", "kept-2q", "kept-3q-reset12"]
+)
+def test_run_reservoir_returns_an_empty_readout_for_an_empty_batch(model):
+    steps, d = 2 * rv.TRANSFER_BLOCK + 5, 2**model.n_qubits
+    for lead in ((0,), (0, 3), (3, 0)):
+        readout = rv.run_reservoir(model, np.zeros(lead + (steps,)), np.zeros(lead + (d, d), dtype=complex), washout=4)
+        assert readout.shape == lead + (steps - 4, 4**model.n_qubits)
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_subset_transfer_matches_density_matrix_step(gamma, p):

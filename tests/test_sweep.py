@@ -465,6 +465,36 @@ def test_axis_chunk_rows_are_each_points_own_run(tmp_path, monkeypatch):
             assert np.array_equal(rows, run_reservoir(stepper(sweep._build_model(cfg, coord)), u, states))  # bit for bit
 
 
+# the order in which evaluate_chunk fills a point's metrics, whatever order the config names them in: the
+# checkpoint lines and the JSON output carry it
+FILL_ORDER = ("esp", "ns_esp", "ns_esp_damping", "ns_esp_nondamping", "narma2", "narma10", "mc", "ipc", "rank")
+
+
+@pytest.mark.parametrize("rank_len", [200, 500], ids=["rank-run-shorter", "rank-run-longer"])  # mc run: 400 steps
+@pytest.mark.parametrize(
+    "experiment, metrics",
+    [("ns_esp_axis_grid", ("rank", "ipc", "narma2", "mc", "esp", "ns_esp")),
+     ("subset_gamma_p_grid", ("rank", "ipc", "mc", "ns_esp_nondamping", "ns_esp_damping"))],
+    ids=["axis", "gamma-p"],
+)
+def test_cells_equal_whether_requested_together_or_apart(tmp_path, experiment, metrics, rank_len):
+    # together, the mc and rank runs are two rows of one batch, the shorter zero-padded
+    cfg = small_config(
+        tmp_path, experiment=experiment, metrics=metrics, gamma_count=2, p_count=2, narma_len=300,
+        narma_sequences=2, mc_len=400, mc_washout=100, mc_max_delay=10, ipc_budget=((1, 10), (2, 4)),
+        ipc_surrogates=5, rank_len=rank_len, rank_washout=50, rank_threshold=0.05,  # a cut the drawn inputs move
+    )
+    coords = sweep.grid_coordinates(cfg)
+    chunks = [list(enumerate(coords))] if experiment == "ns_esp_axis_grid" else [[p] for p in enumerate(coords)]
+    together = [values for chunk in chunks for values in sweep.evaluate_chunk(cfg, chunk)]
+    for values in together:
+        assert list(values) == [m for m in FILL_ORDER if m in metrics]
+    for metric in ("mc", "ipc", "rank") + (("narma2",) if experiment == "ns_esp_axis_grid" else ()):
+        alone = replace(cfg, metrics=(metric,))
+        apart = [values for chunk in chunks for values in sweep.evaluate_chunk(alone, chunk)]
+        assert [v[metric].hex() for v in apart] == [v[metric].hex() for v in together], metric  # bit for bit
+
+
 def _emitted(result, path):
     sweep.emit_field(result, str(path))
     return path.read_bytes()
