@@ -12,18 +12,22 @@ dimension d scores exactly 1 for each delay it stores.  IPC targets are
 products of normalized Legendre polynomials of delayed inputs, an
 orthonormal basis under Uniform[-1, 1] inputs, so inputs must lie in
 [-1, 1].  `mc_report` and `ipc_report` check their inputs in one place: the
-inputs must align with the feature rows, one per row, and every delay a
-capacity asks for must lie within the washout.  Both build their targets
+inputs must align with the feature rows, one per row, the inputs and the
+post-washout feature rows must be finite, and every delay a capacity asks for
+must lie within the washout.  Both build their targets
 term-major in blocks of CAPACITY_BLOCK_BYTES, never fewer than Q has columns,
 one GEMM per block; a shuffle surrogate permutes the rows of Q instead of the
 targets (Q^T v[perm] = Q_perm^T v, Q_perm[perm] = Q), one scatter per surrogate.
 The first surrogate is evaluated in the value pass, on the raw targets it has
-just built.  Trajectory rank counts singular values alone.
+just built.  Trajectory rank counts singular values alone.  A feature row that
+is not finite raises a ValueError naming it, in the readout fit, the
+capacities and the rank alike, before an SVD could fail to converge on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +106,16 @@ class SplitSpec:
         return washout_end, train_end
 
 
+def _check_rows(x: np.ndarray, offset: int) -> None:
+    """Raise ValueError naming the first feature row of x that is not finite, counted from `offset`, before
+    an SVD of it fails to converge.  Column sums of finite rows are finite unless they overflow, so only
+    then are the rows searched."""
+    if not np.isfinite(x.sum(axis=0)).all():
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
+        if len(bad):
+            raise ValueError(f"feature row {offset + bad[0]} is not finite")
+
+
 @dataclass
 class ReadoutFit:
     weights: np.ndarray
@@ -117,7 +131,8 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
     on degenerate designs, flagged on the result.  The constant all-identity
     readout column plays the role of the intercept.  `features` has one row
     per target row, or leaves out the washout rows before the train start,
-    which the fit never reads.
+    which the fit never reads.  A feature row it reads that is not finite
+    raises, named by its index in `features`.
 
     One thin SVD of the training block gives both.  The weights are
     ``np.linalg.pinv(x_train) @ y_train`` by pinv's own arithmetic, bit for
@@ -134,6 +149,7 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
     if skipped not in (0, train_start):
         raise ValueError(f"feature rows {len(x)} match neither target length {len(y)} "
                          f"nor its {len(y) - train_start} rows after the washout")
+    _check_rows(x[train_start - skipped:], train_start - skipped)
     x_train, y_train = x[train_start - skipped:test_start - skipped], y[train_start:test_start]
 
     u, s, vt = np.linalg.svd(x_train.conj(), full_matrices=False)
@@ -174,8 +190,9 @@ def _svd_basis(x: np.ndarray, rel_cut: float) -> np.ndarray:
 
 def _capacity_basis(inputs, features, washout: int, max_delay: int) -> tuple[np.ndarray, np.ndarray]:
     """The float inputs and an orthonormal basis Q of the mean-centered
-    post-washout features, after checking that the inputs are finite, align
-    with the feature rows, and that the washout holds every delay's history."""
+    post-washout features, after checking that the inputs and those feature
+    rows are finite, that the inputs align with the feature rows, and that
+    the washout holds every delay's history."""
     inputs = np.asarray(inputs, dtype=float)
     x = np.asarray(features, dtype=float)
     if len(inputs) != len(x):
@@ -188,6 +205,7 @@ def _capacity_basis(inputs, features, washout: int, max_delay: int) -> tuple[np.
     if washout < max_delay:
         raise ValueError("washout must cover the largest delay")
     x = x[washout:]
+    _check_rows(x, washout)
     return inputs, _svd_basis(x - x.mean(axis=0), CAPACITY_REL_CUT)
 
 
@@ -393,17 +411,27 @@ def ipc_report(inputs, features, cfg: IpcConfig, washout: int, rng: np.random.Ge
 # ---------------------------------------------------------------------------
 # trajectory rank
 
-@dataclass(frozen=True)
 class RankResult:
-    raw: int
-    centered: int
+    """`raw` counts the significant singular values of the post-washout
+    features as recorded; `centered`, those after subtracting the column
+    means (a constant trajectory has raw rank 1 but centered rank 0), is
+    computed on first read, with an SVD of its own."""
+
+    def __init__(self, x: np.ndarray, rel_threshold: float):
+        self._x, self._rel_threshold = x, rel_threshold
+        self.raw = self._count(x)
+
+    def _count(self, m: np.ndarray) -> int:
+        s = np.linalg.svd(m, compute_uv=False)
+        return int(np.count_nonzero(s > self._rel_threshold * s[0]))
+
+    @cached_property
+    def centered(self) -> int:
+        return self._count(self._x - self._x.mean(axis=0))
 
 
 def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> RankResult:
     """Count of significant singular values of the post-washout feature matrix.
-
-    `raw` uses the matrix as recorded; `centered` subtracts column means
-    first (a constant trajectory has raw rank 1 but centered rank 0).
 
     A singular value counts when it exceeds `rel_threshold` times the
     largest one, so a relative cut well above round-off counts weakly
@@ -412,7 +440,8 @@ def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> 
     rank is 12. For the exact rank, pass `max(rows, cols) * eps`, the
     `numpy.linalg.matrix_rank` tolerance.  A threshold outside [0, 1)
     raises: below 0 every column counts, and at 1 or above none does.  So
-    does a negative washout, which would keep only the last rows.
+    does a negative washout, which would keep only the last rows, and a
+    feature row after the washout that is not finite.
     """
     if not 0.0 <= rel_threshold < 1.0:
         raise ValueError(f"rel_threshold {rel_threshold} outside [0, 1)")
@@ -421,9 +450,5 @@ def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> 
     x = np.asarray(features, dtype=float)[washout:]
     if len(x) == 0:
         raise ValueError("no rows after washout")
-
-    def count(m: np.ndarray) -> int:
-        s = np.linalg.svd(m, compute_uv=False)
-        return int(np.count_nonzero(s > rel_threshold * s[0]))
-
-    return RankResult(raw=count(x), centered=count(x - x.mean(axis=0)))
+    _check_rows(x, washout)
+    return RankResult(x, rel_threshold)

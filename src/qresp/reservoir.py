@@ -20,17 +20,13 @@ that row's own product.
 ``run_reservoir`` returns the readout as a plain float array, one column per
 Pauli string of ``qmat.all_pauli_strings``.  It has one loop for every model,
 state <- evolve(state, encode(u)), with one ``encode`` and one readout per
-64 steps.  The state is a density matrix, except on two real maps whose
-``encode`` is their ``transfer``:
-
-* ``SubsetReservoir``: the 16x16 maps T(u); the state is the Pauli vector,
-  the readout itself.
-* ``KeptMap``, an ``NsReservoir``'s ``kept``: the reset discards A each
-  step, so the state is the Pauli vector of the kept qubits, 4**(n - |A|)
-  numbers (4 at n = 2), and each step is read out from the state before it
-  and its input.  Only ESP and NS-ESP ensembles step it (see
-  ``espmetrics.stepped``); every other run of an ``NsReservoir`` steps rho.
-
+64 steps, and two paths: the state is a density matrix, or a ``PauliMap``'s
+real Pauli vector, stepped by x <- sum_f c_f(u) T_f x with c(u) the
+``input_features`` of the input.  ``SubsetReservoir`` is such a map on the
+whole readout; an ``NsReservoir``'s ``kept`` is one on its kept qubits,
+4**(n - |A|) numbers (4 at n = 2), since the reset discards A each step.
+Only ESP and NS-ESP ensembles step the kept map (see
+``espmetrics.stepped``); every other run of an ``NsReservoir`` steps rho.
 Each density-matrix ``step`` stays the definition these maps agree with to
 rounding.
 
@@ -316,7 +312,7 @@ class NsReservoir:
         return self.evolve(rho, self.encode(u))
 
     @cached_property
-    def kept(self) -> KeptMap:
+    def kept(self) -> PauliMap:
         """This reservoir on its kept subsystem, built on first use from the Pauli transfer matrix of
         exp(-iH) and the Bloch terms of sigma(u): `step` to rounding, on 4**(n - |A|) real numbers."""
         n, reset = self.n_qubits, self.config.reset_subsystem
@@ -334,45 +330,51 @@ class NsReservoir:
         by_factor = transfer.reshape((4**n,) + (4,) * n).transpose(0, *(1 + q for q in order))
         terms = by_factor.reshape(4**n, -1, len(sigma[0])) @ sigma.T
         columns = [i for i, s in enumerate(qmat.all_pauli_strings(n)) if all(s[q] == "I" for q in reset)]
-        return KeptMap(np.moveaxis(terms, -1, 0), columns, n, len(reset))
+        return PauliMap(np.moveaxis(terms, -1, 0), columns, n, len(reset))
 
 
-class KeptMap:
-    """An ``NsReservoir`` on its kept subsystem, the qubits outside the reset subsystem A.
+class PauliMap:
+    """A reservoir as a real map on Pauli vectors with input-dependent coefficients.
 
-    The reset discards A each step, so the kept Pauli vector k, the readout columns P (x) I_A in
-    `columns`, carries the memory.  A step with input u reads out y = sum_f c_f(u) R_f k from the
-    state before it, with c(u) = `input_features(u, |A|)` and R_f the 4**n x len(k) slices of
-    `terms`; the next k is the kept rows of y, so the kept maps A_f are the kept rows of the R_f.
-    Leading axes of `terms` broadcast against the batch: a stack of maps runs one per point.
+    The state k is the readout columns `columns` of the Pauli vector, K of them.  A step with input u
+    reads out y = sum_f c_f(u) T_f k, with c(u) = `input_features(u, copies)` and T_f the 4**n x K
+    slices of `terms`, shape (..., 3**copies, 4**n, K); the next state is the rows `columns` of y, so
+    the maps A_f are those rows of the T_f.  ``SubsetReservoir`` is one whose state is the whole
+    readout; ``NsReservoir.kept`` one whose state is the kept subsystem, since the reset discards A
+    each step.  Leading axes of `terms` broadcast against the batch: a stack of maps runs one per point.
     """
 
-    def __init__(self, terms: np.ndarray, columns, n_qubits: int, reset_count: int):
-        self.terms, self.columns, self.n_qubits, self.reset_count = terms, columns, n_qubits, reset_count
+    def __init__(self, terms: np.ndarray, columns, n_qubits: int, copies: int):
+        self.terms, self.columns, self.n_qubits, self.copies = terms, columns, n_qubits, copies
         lead, (count, rows, kept) = terms.shape[:-3], terms.shape[-3:]
         self.maps = terms[..., columns, :].reshape(lead + (count, kept * kept))
-        self.readout_terms = terms.swapaxes(-1, -2).reshape(lead + (count * kept, rows))
+        self.readout_terms = None if kept == rows else terms.swapaxes(-1, -2).reshape(lead + (count * kept, rows))
 
     def transfer(self, u) -> np.ndarray:
-        """The kept maps sum_f c_f(u) A_f, shape np.shape(u) + (K, K).  Inputs are not checked.  Axis 0 of
-        u is time; each trajectory's maps come from a GEMM of its own, as alone, as in `SubsetReservoir`."""
+        """The maps sum_f c_f(u) A_f, shape np.shape(u) + (K, K).  Inputs are not checked.  Axis 0 of u is
+        time; each trajectory's maps come from a GEMM of its own, as alone: a one-row product rounds unlike
+        a row of a larger one."""
         u = np.asarray(u, dtype=float)
-        features = input_features(np.atleast_1d(u), self.reset_count)
+        features = input_features(np.atleast_1d(u), self.copies)
         kept = len(self.columns)
         return np.moveaxis(np.moveaxis(features, 0, -2) @ self.maps, -2, 0).reshape(u.shape + (kept, kept))
 
     encode = transfer
 
     def evolve(self, k: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
-        """A k on kept Pauli vectors held as (..., K, 1) columns."""
+        """A k on Pauli vectors held as (..., K, 1) columns."""
         return np.matmul(m, k, out=out)
 
     def read(self, k: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The readout (L, ..., 4**n) of L steps from the kept vectors k before them, (L, ..., K, 1), and their
-        inputs u, (L, ...): sum_f c_f(u) R_f k as one GEMM per trajectory of the (L, |c| K) features c (x) k."""
-        features = input_features(u, self.reset_count)
+        """The readout (L, ..., 4**n) of L steps with inputs u, (L, ...), from the states k, (L + 1, ..., K, 1):
+        the one before the first step, then the one after each.  A state that is the whole readout is read
+        as it stands after each step; otherwise y = sum_f c_f(u) T_f k comes from the state before each
+        step, the first L of k, one GEMM per trajectory of the (L, |c| K) features c (x) k."""
+        if self.readout_terms is None:
+            return k[1:, ..., 0]
+        features = input_features(u, self.copies)
         features = features.reshape(features.shape[:1] + (1,) * (k.ndim - features.ndim - 1) + features.shape[1:])
-        rows = np.moveaxis(features[..., :, None] * k[..., None, :, 0], 0, -3)
+        rows = np.moveaxis(features[..., :, None] * k[:len(u), ..., None, :, 0], 0, -3)
         return np.moveaxis(rows.reshape(rows.shape[:-2] + (math.prod(rows.shape[-2:]),)) @ self.readout_terms, -2, 0)
 
 
@@ -388,8 +390,11 @@ def damping_kraus(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return k0, k1
 
 
-class SubsetReservoir:
-    """Two-qubit reservoir: local Haar unitaries, damping on qubit 0, fractional CNOT."""
+class SubsetReservoir(PauliMap):
+    """Two-qubit reservoir: local Haar unitaries, damping on qubit 0, fractional CNOT, then the input
+    rotation R_Y(arccos u) on both qubits.  As a map its state is the whole 16-dim Pauli vector, stepped
+    by T(u) = (R(u) (x) R(u)) S = sum_ij c_i c_j (R_i (x) R_j) S; the density-matrix `step` stays the
+    definition it agrees with to rounding."""
 
     def __init__(self, config: SubsetModelConfig):
         self.config = config
@@ -398,15 +403,13 @@ class SubsetReservoir:
         self.local_unitary = np.kron(u0, u1)
         self.damping = tuple(np.kron(k, np.eye(2, dtype=complex)) for k in damping_kraus(config.damping_rate))
         self.entangler = qmat.cnot_power(config.cnot_exponent)
-        self.n_qubits = 2
         # the Pauli transfer matrix S[j, k] = tr(P_j system_step(P_k)) / 4, and R_Y(arccos u)'s
         # R(u) = sum_i c_i R_i in I, X, Y, Z order, with c = (1, u, sqrt(1 - u^2))
         ops = pauli_operators(2)
         system = pauli_expectations(self.system_step(ops), ops).T / 4
         r_parts = np.array([np.diag([1.0, 0, 1, 0]), np.diag([0.0, 1, 0, 1]), np.zeros((4, 4))])
         r_parts[2, 1, 3], r_parts[2, 3, 1] = 1.0, -1.0
-        terms = [np.kron(a, b) @ system for a in r_parts for b in r_parts]
-        self.transfer_terms = np.reshape(terms, (9, 256))
+        super().__init__(np.array([np.kron(a, b) @ system for a in r_parts for b in r_parts]), list(range(16)), 2, 2)
 
     def system_step(self, rho: np.ndarray) -> np.ndarray:
         """Non-input-driven part: local unitaries, damping on qubit 0, then the entangler."""
@@ -421,20 +424,6 @@ class SubsetReservoir:
         r = ry(np.arccos(u))
         u_in = qmat.kron(r, r)
         return u_in @ rho @ u_in.conj().swapaxes(-1, -2)
-
-    def transfer(self, u) -> np.ndarray:
-        """The real maps T(u) = (R(u) (x) R(u)) S = sum_ij c_i c_j (R_i (x) R_j) S, shape (..., 16, 16):
-        T(u) tr(P_k rho) is the readout of `step(rho, u)` to rounding.  Inputs are not checked.  Each column
-        u[:, b] gets a GEMM of its own, as alone: a one-row product rounds unlike a row of a larger one."""
-        u = np.asarray(u, dtype=float)
-        cc = input_features(u, 2).reshape(len(u) if u.ndim else 1, math.prod(u.shape[1:]), 9)
-        return (cc.swapaxes(0, 1) @ self.transfer_terms).swapaxes(0, 1).reshape(u.shape + (16, 16))
-
-    encode = transfer
-
-    def evolve(self, x: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
-        """T x on Pauli vectors kept as (..., 16, 1) columns: `step` on the readout, to rounding."""
-        return np.matmul(m, x, out=out)
 
 
 class DepolarizingReservoir:
@@ -508,11 +497,13 @@ def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarr
     evolve(state, encode(u)), with one `encode`, one readout and its range
     check per block of steps.  The check takes the block's max and min once;
     only a failing block is searched row by row for its first bad index.
-    The state is rho, bit for bit with a loop over `step`, or on a model
-    with a `transfer` map the Pauli vector (``SubsetReservoir``, read out as
-    it stands) or its kept part (``KeptMap``, read out from the state before
-    each step), equal to `step` to rounding; a batch equals its rows, and an
-    empty batch gives an empty readout.
+    There are two paths.  On a density-matrix model the state is rho, read
+    out after each step, bit for bit with a loop over `step`.  On a
+    ``PauliMap`` it is the map's readout columns of the Pauli vector, and the
+    block buffer also holds the block's first state, so that the map's `read`
+    takes the states before and after each step; this equals `step` to
+    rounding.  Either way a batch equals its rows, and an empty batch gives
+    an empty readout.
     """
     inputs = np.asarray(inputs, dtype=float)
     steps = inputs.shape[-1]
@@ -525,24 +516,22 @@ def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarr
                            f"input {inputs[..., t][outside[..., t]][0]} outside [-1, 1]")
     ops = pauli_operators(model.n_qubits)
     batch = np.broadcast_shapes(inputs.shape[:-1], np.shape(rho0)[:-2])
-    before = hasattr(model, "read")  # the buffer then holds the state before each step, the block's first at 0
-    if before:
+    first = isinstance(model, PauliMap)  # the buffer then holds the block's first state at 0
+    if first:
         state, dtype, readout = pauli_expectations(rho0, ops)[..., model.columns, None], float, model.read
-    elif hasattr(model, "transfer"):
-        state, dtype, readout = pauli_expectations(rho0, ops)[..., None], float, lambda x, _: x[..., 0]
     else:
         state, dtype, readout = rho0, complex, lambda rho, _: pauli_expectations(rho, ops)
     # Before the readout: freed, the buffer leaves a hole the next call reuses, not a heap top malloc trims.
-    states = np.empty((TRANSFER_BLOCK + before,) + batch + np.shape(state)[-2:], dtype=dtype)
+    states = np.empty((TRANSFER_BLOCK + first,) + batch + np.shape(state)[-2:], dtype=dtype)
     values = np.empty(batch + (steps - washout, len(ops)))
     for start in range(0, steps, TRANSFER_BLOCK):
         block = np.moveaxis(inputs[..., start:start + TRANSFER_BLOCK], -1, 0)
         encoded = model.encode(block)
-        if before:
+        if first:
             states[0] = state
-        for sigma, out in zip(encoded, states[before:]):
+        for sigma, out in zip(encoded, states[first:]):
             state = model.evolve(state, sigma, out)
-        read = readout(states[:len(block)], block)
+        read = readout(states[:len(block) + first], block)
         # the whole block at once: nan fails both tests, an empty batch passes
         if not (read.max(initial=0.0) <= 1.0 + 1e-9 and read.min(initial=0.0) >= -(1.0 + 1e-9)):
             over = ~(np.maximum(read.max(axis=-1), -read.min(axis=-1)) <= 1.0 + 1e-9)

@@ -31,9 +31,9 @@ import numpy as np
 from . import benchmarks, espmetrics, qmat
 from .reservoir import (
     AxisConfig,
-    KeptMap,
     NsModelConfig,
     NsReservoir,
+    PauliMap,
     SkHamiltonianConfig,
     SubsetModelConfig,
     SubsetReservoir,
@@ -252,13 +252,13 @@ def _drawn(model, rng: np.random.Generator, length: int, low: float, high: float
 
 def _joint(models):
     """One model for the rows of all `models`, axis 0 of its batches running over them: one axis grid's
-    models share the SK unitary and reset subsystem, and each keeps its own input maps, its kept-map terms
+    models share the SK unitary and reset subsystem, and each keeps its own input maps, its Pauli-map terms
     or its axis frame, stacked so that one call encodes every point's inputs."""
     first = models[0]
     if len(models) == 1:
         return first
-    if isinstance(first, KeptMap):
-        return KeptMap(np.stack([m.terms for m in models])[:, None], first.columns, first.n_qubits, first.reset_count)
+    if isinstance(first, PauliMap):
+        return PauliMap(np.stack([m.terms for m in models])[:, None], first.columns, first.n_qubits, first.copies)
     frames, reset = np.stack([m.frame for m in models]), len(first.config.reset_subsystem)
 
     def encode(u):  # u is (step, point, ...): each point's frame broadcasts over the axes after its own

@@ -550,3 +550,21 @@ def test_trajectory_rank_refuses_threshold_outside_unit_interval(threshold):
     # at -1 every column would count, at 1 none would
     with pytest.raises(ValueError, match=r"rel_threshold .* outside \[0, 1\)"):
         bm.trajectory_rank(np.eye(4), rel_threshold=threshold)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda u, x: bm.mc_report(u, x, 5, 20),
+    lambda u, x: bm.ipc_report(u, x, bm.IpcConfig(budget=((1, 5), (2, 3)), surrogate_count=2), 20,
+                               np.random.default_rng(0)),
+    lambda u, x: bm.trajectory_rank(x, washout=20),
+    lambda u, x: bm.train_linear_readout(x, u, bm.SplitSpec()),
+], ids=["mc_report", "ipc_report", "trajectory_rank", "train_linear_readout"])
+def test_non_finite_feature_rows_are_refused_by_name(call, value):
+    # one bad entry in a 300 x 4 design: without the check, the SVD does not converge
+    rng = np.random.default_rng(71)
+    u = rng.uniform(-1, 1, 300)
+    x = rng.standard_normal((300, 4))
+    x[160, 2] = x[200, 0] = value  # both read by every fit; the message names the first
+    with pytest.raises(ValueError, match="^feature row 160 is not finite$"):
+        call(u, x)

@@ -430,6 +430,22 @@ def test_evaluate_point_reports_metric_set(tmp_path):
     assert all(np.isfinite(v) or np.isinf(v) for v in values.values())
 
 
+@pytest.mark.parametrize("experiment", ["ns_esp_axis_grid", "subset_gamma_p_grid"])
+def test_rank_path_takes_one_svd_per_point(tmp_path, monkeypatch, experiment):
+    # the sweep reads the raw rank only; the centred count is computed on first read
+    cfg = small_config(tmp_path, experiment=experiment, metrics=("rank",), rank_len=200, rank_washout=50)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    coord = sweep.grid_coordinates(cfg)[1]
+    values = sweep.evaluate_point(cfg, 1, coord)
+    assert len(calls) == 1
+    result = benchmarks.trajectory_rank(np.ones((50, 4)))
+    assert (result.raw, len(calls)) == (1, 2)
+    assert (result.centered, result.centered, len(calls)) == (0, 0, 3)  # once, when read
+    assert set(values) == {"rank"}
+
+
 def test_narma_rnmse_matches_sequential_drive_and_fit(tmp_path):
     # one sequence at a time from the point's narma2 stream: draw u, then the initial state, drive, fit
     cfg = small_config(tmp_path, metrics=("narma2",), narma_len=300, narma_sequences=3)
