@@ -21,7 +21,8 @@ targets (Q^T v[perm] = Q_perm^T v, Q_perm[perm] = Q), one scatter per surrogate.
 The first surrogate is evaluated in the value pass, on the raw targets it has
 just built.  Trajectory rank counts singular values alone.  A feature row that
 is not finite raises a ValueError naming it, in the readout fit, the
-capacities and the rank alike, before an SVD could fail to converge on it.
+capacities and the rank alike, before an SVD could fail to converge on it; so
+does a target row that the readout fit or RNMSE reads.
 """
 
 from __future__ import annotations
@@ -106,14 +107,15 @@ class SplitSpec:
         return washout_end, train_end
 
 
-def _check_rows(x: np.ndarray, offset: int) -> None:
-    """Raise ValueError naming the first feature row of x that is not finite, counted from `offset`, before
-    an SVD of it fails to converge.  Column sums of finite rows are finite unless they overflow, so only
-    then are the rows searched."""
-    if not np.isfinite(x.sum(axis=0)).all():
-        bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
+def _check_rows(x: np.ndarray, offset: int, kind: str = "feature") -> None:
+    """Raise ValueError naming the first `kind` row of x that is not finite, counted from `offset`, before
+    an SVD of it fails to converge or a nan passes for a score.  Column sums of finite rows are finite
+    unless they overflow, so only then are the rows searched."""
+    rows = x[:, None] if x.ndim == 1 else x
+    if not np.isfinite(rows.sum(axis=0)).all():
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=-1))
         if len(bad):
-            raise ValueError(f"feature row {offset + bad[0]} is not finite")
+            raise ValueError(f"{kind} row {offset + bad[0]} is not finite")
 
 
 @dataclass
@@ -132,7 +134,8 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
     readout column plays the role of the intercept.  `features` has one row
     per target row, or leaves out the washout rows before the train start,
     which the fit never reads.  A feature row it reads that is not finite
-    raises, named by its index in `features`.
+    raises, named by its index in `features`, as does a target row from the
+    train start on, named by its index in `target`.
 
     One thin SVD of the training block gives both.  The weights are
     ``np.linalg.pinv(x_train) @ y_train`` by pinv's own arithmetic, bit for
@@ -150,6 +153,7 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
         raise ValueError(f"feature rows {len(x)} match neither target length {len(y)} "
                          f"nor its {len(y) - train_start} rows after the washout")
     _check_rows(x[train_start - skipped:], train_start - skipped)
+    _check_rows(y[train_start:], train_start, "target")
     x_train, y_train = x[train_start - skipped:test_start - skipped], y[train_start:test_start]
 
     u, s, vt = np.linalg.svd(x_train.conj(), full_matrices=False)
@@ -168,11 +172,13 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
 
 
 def rnmse(target, prediction) -> float:
-    """Root mean squared error normalized by the population variance of the target."""
+    """Root mean squared error normalized by the population variance of the target.  A target row
+    that is not finite raises, named by its index."""
     y = np.asarray(target, dtype=float)
     p = np.asarray(prediction, dtype=float)
     if len(y) == 0 or len(y) != len(p):
         raise ValueError("target and prediction must have equal nonzero lengths")
+    _check_rows(y, 0, "target")
     var = y.var()
     if var == 0.0:
         raise ValueError("target is constant; RNMSE undefined")

@@ -58,8 +58,11 @@ METRICS = (
 
 NS_METRICS = {"ns_esp", "ns_esp_damping", "ns_esp_nondamping"}
 INDICATOR_METRICS = {"esp"} | NS_METRICS
-CHUNK_BYTES = 2 << 20  # per axis-grid task (see chunk_size): two points of the default indicator ensemble,
-# nine of 2 x 1,200-step NARMA runs
+# per axis-grid task (see chunk_size): every task pays a near-fixed cost per batched rho step, NARMA
+# recurrence step and block encode/readout, whatever its row count (an axis_narma2 sweep's CPU read 575,
+# 356, 281 and 261 ms at 9, 18, 36 and 72 points a task, in process, BLAS at 1 thread), so tasks carry
+# five points of the default indicator ensemble, eighteen of 2 x 1,200-step NARMA runs
+CHUNK_BYTES = 4 << 20
 
 HAMILTONIAN_PRESETS = {
     "H1": {"j_scale": 1.0, "field_width": 0.312, "global_field": 0.013},
@@ -283,8 +286,9 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
 
     Each point draws from its own streams; each kind of run drives the rows of all points in
     one `run_reservoir` call, and each point finishes its metrics on its own rows.  Several
-    points must lie on one axis grid: each readout is then bit for bit the point's own.  The
-    indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others rho.
+    points must lie on one grid: each readout is then bit for bit the point's own.  The
+    indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others the model itself
+    (rho for an ``NsReservoir``, the Pauli map for a ``SubsetReservoir``).
     A point's generator of a stream (`point_rng`) is built only when a metric draws from it.
 
     A point's capacity run (`_capacity_runs`) holds its mc run, which mc and ipc read, and its
@@ -363,9 +367,15 @@ def chunk_size(cfg: SweepConfig) -> int:
     """Grid points per pool task, fixed by the config alone, never by the worker count: on the
     axis grid, as many as fit CHUNK_BYTES with the kept readout rows (4**n floats, 128 bytes, a
     step) and the 64-step block buffers (state, inputs, readout and their temporaries, about 576
-    bytes a step on either path, measured) of each row of their largest run; one on the gamma-p
-    grid, whose models share no map.  A NARMA run keeps its rows from the washout's end on, and
-    a capacity run is charged as its rows, mc and rank, at the longer of their lengths."""
+    bytes a step on either path, measured) of each row of their largest run.  A NARMA run keeps
+    its rows from the washout's end on, and a capacity run is charged as its rows, mc and rank, at
+    the longer of their lengths.  The budget pays each call's near-fixed cost over more rows: five
+    points a task at the indicator defaults, eighteen for 2 x 1,200-step NARMA runs, and one for
+    the default 5 x 20,000-step runs, whose 6.6 MB exceed it.
+
+    One point a task on the gamma-p grid: its maps stack bit for bit, but a row-step there holds a
+    16 x 16 transfer map (2 KB, not the 576 bytes charged above), and tasks of two points measured
+    no wall-time gain for 1.7 MB more peak RSS."""
     if cfg.experiment == "subset_gamma_p_grid":
         return 1
     metrics, runs = set(cfg.metrics), []  # (rows, kept steps) of each run

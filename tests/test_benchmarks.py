@@ -568,3 +568,20 @@ def test_non_finite_feature_rows_are_refused_by_name(call, value):
     x[160, 2] = x[200, 0] = value  # both read by every fit; the message names the first
     with pytest.raises(ValueError, match="^feature row 160 is not finite$"):
         call(u, x)
+
+
+def test_non_finite_target_rows_are_refused_by_name():
+    # a finite 300 x 4 design; the fit reads target rows 150-299 (150-269 to train, the rest to test)
+    rng = np.random.default_rng(72)
+    x = rng.standard_normal((300, 4))
+    y = rng.standard_normal(300)
+    y[200], y[290] = np.nan, np.inf
+    with pytest.raises(ValueError, match="^target row 200 is not finite$"):
+        bm.train_linear_readout(x, y, bm.SplitSpec())
+    with pytest.raises(ValueError, match="^target row 200 is not finite$"):
+        bm.rnmse(y, np.zeros(300))
+    y[200] = 0.0
+    with pytest.raises(ValueError, match="^target row 290 is not finite$"):
+        bm.train_linear_readout(x, y, bm.SplitSpec())
+    with pytest.raises(ValueError, match="^target row 20 is not finite$"):  # the test segment's own index
+        bm.rnmse(y[270:], np.zeros(30))

@@ -511,6 +511,21 @@ def test_cells_equal_whether_requested_together_or_apart(tmp_path, experiment, m
         assert [v[metric].hex() for v in apart] == [v[metric].hex() for v in together], metric  # bit for bit
 
 
+def test_gamma_p_chunks_equal_single_points(tmp_path):
+    # the sweep runs one gamma-p point a task for its memory, not its bits: stacked, their maps give each
+    # point's own cells
+    cfg = small_config(
+        tmp_path, experiment="subset_gamma_p_grid", metrics=("ns_esp_damping", "ns_esp_nondamping", "mc", "ipc", "rank"),
+        gamma_count=3, p_count=2, mc_len=400, mc_washout=100, mc_max_delay=10, ipc_budget=((1, 10), (2, 4)),
+        ipc_surrogates=5, rank_len=200, rank_washout=50, rank_threshold=0.05,
+    )
+    points = list(enumerate(sweep.grid_coordinates(cfg)))
+    alone = [sweep.evaluate_point(cfg, *point) for point in points]
+    together = sweep.evaluate_chunk(cfg, points[:2]) + sweep.evaluate_chunk(cfg, points[2:5])
+    assert [{m: v.hex() for m, v in values.items()} for values in together] == \
+        [{m: v.hex() for m, v in values.items()} for values in alone[:5]]
+
+
 def _emitted(result, path):
     sweep.emit_field(result, str(path))
     return path.read_bytes()
@@ -531,7 +546,7 @@ def chunked_config(tmp_path, **overrides):
     # 9 points in chunks of 4, 4 and 1, each chunk evaluated as one (NARMA10 diverges on one of these
     # points, which would send its chunk back to single points: test_axis_chunks_never_fall_back_* runs it)
     fields = dict(metrics=("esp", "ns_esp", "narma2"), azimuth_count=3, polar_count=3,
-                  indicator_len=600, narma_len=1000, narma_sequences=2)
+                  indicator_len=1500, narma_len=1000, narma_sequences=2)
     return small_config(tmp_path, **{**fields, **overrides})
 
 
@@ -551,7 +566,7 @@ def test_run_sweep_fields_equal_a_loop_over_evaluate_point(tmp_path, monkeypatch
             result = sweep.run_sweep(replace(cfg, workers=workers, out_path=str(tmp_path / f"w{workers}.csv")))
             assert result.errors == [None] * 9
             assert _emitted(result, tmp_path / f"w{workers}.csv") == expected
-    # the gamma-p models share no map: one point per task
+    # a gamma-p row-step holds a whole transfer map: one point per task
     cfg = small_config(
         tmp_path, experiment="subset_gamma_p_grid", metrics=("mc", "ipc", "rank", "ns_esp_damping"),
         gamma_count=2, p_count=2, mc_len=400, mc_washout=100, mc_max_delay=10, ipc_budget=((1, 10), (2, 4)),
@@ -565,7 +580,7 @@ def test_axis_chunks_never_fall_back_to_single_points(tmp_path, monkeypatch):
     # a failing chunk reruns point by point, which would hide a fault of the chunk path behind equal
     # fields: here every metric of the axis grid runs in chunks of 3 points and none falls back
     cfg = small_config(
-        tmp_path, metrics=("esp", "ns_esp", "narma2", "narma10", "mc", "rank"), indicator_len=800, narma_len=300,
+        tmp_path, metrics=("esp", "ns_esp", "narma2", "narma10", "mc", "rank"), indicator_len=2000, narma_len=300,
         narma_sequences=2, mc_len=400, mc_washout=100, mc_max_delay=10, rank_len=200, rank_washout=50,
     )
     assert sweep.chunk_size(cfg) == 3 and len(sweep.grid_coordinates(cfg)) == 6
