@@ -32,6 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .qmat import is_int
+
 NARMA_DIVERGENCE_LIMIT = 1e3
 MAX_LINEAR_DELAY_THRESHOLD = 1e-4
 CAPACITY_REL_CUT = 1e-5
@@ -172,13 +174,14 @@ def train_linear_readout(features, target, split: SplitSpec) -> ReadoutFit:
 
 
 def rnmse(target, prediction) -> float:
-    """Root mean squared error normalized by the population variance of the target.  A target row
-    that is not finite raises, named by its index."""
+    """Root mean squared error normalized by the population variance of the target.  A target or
+    prediction row that is not finite raises, named by its kind and index."""
     y = np.asarray(target, dtype=float)
     p = np.asarray(prediction, dtype=float)
     if len(y) == 0 or len(y) != len(p):
         raise ValueError("target and prediction must have equal nonzero lengths")
     _check_rows(y, 0, "target")
+    _check_rows(p, 0, "prediction")
     var = y.var()
     if var == 0.0:
         raise ValueError("target is constant; RNMSE undefined")
@@ -315,10 +318,6 @@ def mc_report(inputs, features, max_delay: int, washout: int) -> McResult:
 
 # ---------------------------------------------------------------------------
 # IPC over a Legendre basis
-
-def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
 class IpcConfig:

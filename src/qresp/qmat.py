@@ -27,6 +27,12 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 
 
+def is_int(value) -> bool:
+    """A Python integer, not a bool: the one check of every integer config field (a qubit index, a count or
+    a seed), which a float or bool would pass until it fails deep in a run."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def n_qubits_of(matrix: np.ndarray) -> int:
     """Qubit count of a matrix, or of each matrix in a (..., d, d) stack."""
     dim = matrix.shape[-1]

@@ -20,10 +20,12 @@ that row's own product.
 ``run_reservoir`` returns the readout as a plain float array, one column per
 Pauli string of ``qmat.all_pauli_strings``.  It has one loop for every model,
 state <- evolve(state, encode(u)), with one ``encode`` and one readout per
-64 steps, and two paths: the state is a density matrix, or a ``PauliMap``'s
-real Pauli vector, stepped by x <- sum_f c_f(u) T_f x with c(u) the
-``input_features`` of the input.  ``SubsetReservoir`` is such a map on the
-whole readout; an ``NsReservoir``'s ``kept`` is one on its kept qubits,
+64 steps, and two paths: the state is an ``NsReservoir``'s density matrix, or
+a ``PauliMap``'s real Pauli vector, stepped by x <- sum_f c_f(u) T_f x with
+c(u) the ``input_features`` of the input, each T_f built by ``pauli_transfer``.
+``SubsetReservoir`` and ``DepolarizingReservoir`` (the analytically solvable
+toy channel of the property suites, a constant map) are maps on the whole
+readout; an ``NsReservoir``'s ``kept`` is one on its kept qubits,
 4**(n - |A|) numbers (4 at n = 2), since the reset discards A each step.
 Only ESP and NS-ESP ensembles step the kept map (see
 ``espmetrics.stepped``); every other run of an ``NsReservoir`` steps rho.
@@ -31,9 +33,7 @@ Each density-matrix ``step`` stays the definition these maps agree with to
 rounding.
 
 ``run_classical_reference`` runs contracting tanh echo-state networks
-with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t),
-and ``DepolarizingReservoir`` is the analytically solvable toy channel
-used in the property suites.
+with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t).
 """
 
 from __future__ import annotations
@@ -83,6 +83,14 @@ def _check_inputs(u) -> None:
 # ---------------------------------------------------------------------------
 # configs
 
+def _check_seeds(config, *names: str) -> None:
+    """Raise ValueError naming the first of the config's seed fields that is not a nonnegative integer."""
+    for name in names:
+        value = getattr(config, name)
+        if not qmat.is_int(value) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SkHamiltonianConfig:
     """All-to-all random XX couplings plus longitudinal fields."""
@@ -94,8 +102,9 @@ class SkHamiltonianConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_qubits < 2:
-            raise ValueError("n_qubits must be at least 2")
+        if not qmat.is_int(self.n_qubits) or self.n_qubits < 2:
+            raise ValueError(f"n_qubits must be an integer of at least 2, got {self.n_qubits!r}")
+        _check_seeds(self, "seed")
         for name in ("j_scale", "field_width", "global_field"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -142,6 +151,8 @@ class NsModelConfig:
     reset_subsystem: tuple[int, ...] = (1,)
 
     def __post_init__(self):
+        if not all(qmat.is_int(q) for q in self.reset_subsystem):
+            raise ValueError(f"reset subsystem qubits must be integers, got {tuple(self.reset_subsystem)!r}")
         a = tuple(sorted(set(self.reset_subsystem)))
         object.__setattr__(self, "reset_subsystem", a)
         n = self.hamiltonian.n_qubits
@@ -163,6 +174,7 @@ class SubsetModelConfig:
             raise ValueError(f"damping_rate {self.damping_rate} outside [0, 1]")
         if not np.isfinite(self.cnot_exponent):
             raise ValueError("cnot_exponent must be finite")
+        _check_seeds(self, "u0_seed", "u1_seed")
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +325,9 @@ class NsReservoir:
 
     @cached_property
     def kept(self) -> PauliMap:
-        """This reservoir on its kept subsystem, built on first use from the Pauli transfer matrix of
-        exp(-iH) and the Bloch terms of sigma(u): `step` to rounding, on 4**(n - |A|) real numbers."""
-        n, reset = self.n_qubits, self.config.reset_subsystem
-        ops = pauli_operators(n)
-        transfer = pauli_expectations(self.unitary @ ops @ self.unitary_dag, ops).T / 2**n
+        """This reservoir on its kept subsystem, built on first use: `step` to rounding, on 4**(n - |A|) numbers.
+        Term f is the Pauli transfer matrix of `evolve` at sigma_f, with sigma_A(u) = sum_f c_f(u) sigma_f."""
+        reset = self.config.reset_subsystem
         # sigma(u) = (I + b.sigma) / 2, b = z rotated by arccos u about the axis a:
         # b = (a.z) a + u (z - (a.z) a) + sqrt(1 - u^2) a x z
         a = self.config.axis.unit_vector
@@ -325,28 +335,27 @@ class NsReservoir:
         sigma = bloch
         for _ in reset[1:]:  # the Pauli vector of sigma_A is the kron of its qubits', term by term
             sigma = (sigma[:, None, :, None] * bloch[None, :, None, :]).reshape(len(sigma) * 3, -1)
-        # tr(P rho) of tr_A(rho) (x) sigma_A is k_K s_A, for P = K on the kept qubits and A on the reset ones
-        order = [q for q in range(n) if q not in reset] + list(reset)
-        by_factor = transfer.reshape((4**n,) + (4,) * n).transpose(0, *(1 + q for q in order))
-        terms = by_factor.reshape(4**n, -1, len(sigma[0])) @ sigma.T
-        columns = [i for i, s in enumerate(qmat.all_pauli_strings(n)) if all(s[q] == "I" for q in reset)]
-        return PauliMap(np.moveaxis(terms, -1, 0), columns, n, len(reset))
+        states = np.tensordot(sigma, pauli_operators(len(reset)), 1) / 2 ** len(reset)
+        terms = pauli_transfer(lambda ops: self.evolve(ops, states[:, None]), self.n_qubits)
+        columns = [i for i, s in enumerate(qmat.all_pauli_strings(self.n_qubits)) if all(s[q] == "I" for q in reset)]
+        return PauliMap(terms[..., columns], columns)
 
 
 class PauliMap:
     """A reservoir as a real map on Pauli vectors with input-dependent coefficients.
 
-    The state k is the readout columns `columns` of the Pauli vector, K of them.  A step with input u
-    reads out y = sum_f c_f(u) T_f k, with c(u) = `input_features(u, copies)` and T_f the 4**n x K
-    slices of `terms`, shape (..., 3**copies, 4**n, K); the next state is the rows `columns` of y, so
-    the maps A_f are those rows of the T_f.  ``SubsetReservoir`` is one whose state is the whole
-    readout; ``NsReservoir.kept`` one whose state is the kept subsystem, since the reset discards A
-    each step.  Leading axes of `terms` broadcast against the batch: a stack of maps runs one per point.
+    The state k is the readout columns `columns` of the Pauli vector, K of them.  A step with input u reads out
+    y = sum_f c_f(u) T_f k, with c(u) = `input_features(u, copies)` and T_f the 4**n x K slices of `terms`,
+    shape (..., 3**copies, 4**n, K), which gives n and `copies`; the next state is the rows `columns` of y, so
+    the maps A_f are those rows of the T_f.  ``SubsetReservoir`` and ``DepolarizingReservoir`` are ones whose
+    state is the whole readout; ``NsReservoir.kept`` one whose state is the kept subsystem, since the reset
+    discards A each step.  Leading axes of `terms` broadcast against the batch: a stack of maps runs one per point.
     """
 
-    def __init__(self, terms: np.ndarray, columns, n_qubits: int, copies: int):
-        self.terms, self.columns, self.n_qubits, self.copies = terms, columns, n_qubits, copies
+    def __init__(self, terms: np.ndarray, columns):
+        self.terms, self.columns = terms, columns
         lead, (count, rows, kept) = terms.shape[:-3], terms.shape[-3:]
+        self.n_qubits, self.copies = round(math.log(rows, 4)), round(math.log(count, 3))
         self.maps = terms[..., columns, :].reshape(lead + (count, kept * kept))
         self.readout_terms = None if kept == rows else terms.swapaxes(-1, -2).reshape(lead + (count * kept, rows))
 
@@ -403,13 +412,12 @@ class SubsetReservoir(PauliMap):
         self.local_unitary = np.kron(u0, u1)
         self.damping = tuple(np.kron(k, np.eye(2, dtype=complex)) for k in damping_kraus(config.damping_rate))
         self.entangler = qmat.cnot_power(config.cnot_exponent)
-        # the Pauli transfer matrix S[j, k] = tr(P_j system_step(P_k)) / 4, and R_Y(arccos u)'s
-        # R(u) = sum_i c_i R_i in I, X, Y, Z order, with c = (1, u, sqrt(1 - u^2))
-        ops = pauli_operators(2)
-        system = pauli_expectations(self.system_step(ops), ops).T / 4
+        # the Pauli transfer matrix S of system_step, and R_Y(arccos u)'s R(u) = sum_i c_i R_i in I, X, Y, Z
+        # order, with c = (1, u, sqrt(1 - u^2))
+        system = pauli_transfer(self.system_step, 2)
         r_parts = np.array([np.diag([1.0, 0, 1, 0]), np.diag([0.0, 1, 0, 1]), np.zeros((4, 4))])
         r_parts[2, 1, 3], r_parts[2, 3, 1] = 1.0, -1.0
-        super().__init__(np.array([np.kron(a, b) @ system for a in r_parts for b in r_parts]), list(range(16)), 2, 2)
+        super().__init__(np.array([np.kron(a, b) @ system for a in r_parts for b in r_parts]), list(range(16)))
 
     def system_step(self, rho: np.ndarray) -> np.ndarray:
         """Non-input-driven part: local unitaries, damping on qubit 0, then the entangler."""
@@ -426,27 +434,22 @@ class SubsetReservoir(PauliMap):
         return u_in @ rho @ u_in.conj().swapaxes(-1, -2)
 
 
-class DepolarizingReservoir:
-    """Toy channel rho -> (1-eps) U rho U^dag + eps I/4 on two qubits, with U the
-    Haar-random unitary of seed 0; trace distance to I/4 decays as (1-eps)^t."""
+class DepolarizingReservoir(PauliMap):
+    """Toy channel rho -> (1-eps) U rho U^dag + eps tr(rho) I/4 on two qubits, whatever the input, with U the
+    Haar-random unitary of seed 0; trace distance to I/4 decays as (1-eps)^t.  As a map on the whole readout it
+    is T = (1-eps) S_U + eps e_0 e_0^T, the term of the constant feature; the u and sqrt(1 - u^2) terms are 0."""
 
     def __init__(self, epsilon: float):
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon {epsilon} outside [0, 1]")
         self.epsilon = epsilon
-        self.n_qubits = 2
         self.unitary = qmat.haar_random_unitary(4, np.random.default_rng(0))
-        self.mixed = np.eye(4, dtype=complex) / 4
+        super().__init__(np.stack([pauli_transfer(self.step, 2), *np.zeros((2, 16, 16))]), list(range(16)))
 
-    def encode(self, u):  # the channel does not depend on its input
-        return u
-
-    def evolve(self, rho: np.ndarray, _, out=None) -> np.ndarray:
+    def step(self, rho: np.ndarray, u=None) -> np.ndarray:
         rotated = self.unitary @ rho @ self.unitary.conj().T
-        return np.add((1 - self.epsilon) * rotated, self.epsilon * self.mixed, out=out)
-
-    def step(self, rho: np.ndarray, u) -> np.ndarray:
-        return self.evolve(rho, self.encode(u))
+        mixed = np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * np.eye(4) / 4
+        return (1 - self.epsilon) * rotated + self.epsilon * mixed
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +482,13 @@ def pauli_expectations(rho: np.ndarray, basis_matrices: np.ndarray) -> np.ndarra
     return (pairs.reshape(-1, 2 * d * d) @ weights.reshape(-1, count)).reshape(pairs.shape[:-2] + (count,))
 
 
+def pauli_transfer(channel, n_qubits: int) -> np.ndarray:
+    """The Pauli transfer matrix S[..., j, k] = tr(P_j channel(P_k)) / 2**n of a linear `channel` that takes the
+    (4**n, d, d) stack of `pauli_operators(n)` to a (..., 4**n, d, d) stack: one matrix per leading index."""
+    ops = pauli_operators(n_qubits)
+    return np.swapaxes(pauli_expectations(channel(ops), ops), -1, -2) / 2**n_qubits
+
+
 TRANSFER_BLOCK = 64  # steps encoded at once and kept for one readout, so memory does not grow with T
 
 
@@ -497,7 +507,7 @@ def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarr
     evolve(state, encode(u)), with one `encode`, one readout and its range
     check per block of steps.  The check takes the block's max and min once;
     only a failing block is searched row by row for its first bad index.
-    There are two paths.  On a density-matrix model the state is rho, read
+    There are two paths.  On an ``NsReservoir`` the state is rho, read
     out after each step, bit for bit with a loop over `step`.  On a
     ``PauliMap`` it is the map's readout columns of the Pauli vector, and the
     block buffer also holds the block's first state, so that the map's `read`

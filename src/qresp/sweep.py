@@ -120,7 +120,7 @@ class SweepConfig:
         object.__setattr__(self, "metrics", tuple(self.metrics))
         object.__setattr__(self, "ipc_budget", tuple(tuple(pair) for pair in self.ipc_budget))
         for f in fields(self):  # a float or bool here would fail at every grid point
-            if f.type in ("int", int) and not benchmarks.is_int(getattr(self, f.name)):
+            if f.type in ("int", int) and not qmat.is_int(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         # for every metric set, as the integer fields: the one check of the IPC budget and surrogate count
         benchmarks.IpcConfig(budget=self.ipc_budget, surrogate_count=self.ipc_surrogates)
@@ -261,7 +261,7 @@ def _joint(models):
     if len(models) == 1:
         return first
     if isinstance(first, PauliMap):
-        return PauliMap(np.stack([m.terms for m in models])[:, None], first.columns, first.n_qubits, first.copies)
+        return PauliMap(np.stack([m.terms for m in models])[:, None], first.columns)
     frames, reset = np.stack([m.frame for m in models]), len(first.config.reset_subsystem)
 
     def encode(u):  # u is (step, point, ...): each point's frame broadcasts over the axes after its own

@@ -96,6 +96,12 @@ def test_split_boundaries():
     train_start, test_start = split.boundaries(1000)
     assert train_start == 500
     assert test_start == 900
+    for fraction in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match=r"washout_fraction must lie in \(0, 1\)"):
+            bm.SplitSpec(washout_fraction=fraction)
+    for length in (1, 2):  # no washout row, or no training row
+        with pytest.raises(ValueError, match=f"split produces an empty segment for length {length}"):
+            split.boundaries(length)
 
 
 def test_linear_readout_recovers_exact_map():
@@ -174,6 +180,9 @@ def test_rnmse_oracle():
 def test_rnmse_rejects_constant_target():
     with pytest.raises(ValueError):
         bm.rnmse(np.ones(10), np.zeros(10))
+    for target, prediction in ((np.arange(5.0), np.zeros(4)), (np.zeros(0), np.zeros(0))):
+        with pytest.raises(ValueError, match="target and prediction must have equal nonzero lengths"):
+            bm.rnmse(target, prediction)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +226,11 @@ def test_mc_report_aggregates():
         v[[70, 300]] = bad
         with pytest.raises(ValueError, match=f"input {bad} at index 70 is not finite"):
             bm.mc_report(v, feats, max_delay=8, washout=100)
+    with pytest.raises(ValueError, match="max_delay must be at least 1"):
+        bm.mc_report(u, feats, max_delay=0, washout=100)
+    for washout in (len(u), len(u) + 5):
+        with pytest.raises(ValueError, match=f"washout {washout} leaves no data in {len(u)} rows"):
+            bm.mc_report(u, feats, max_delay=8, washout=washout)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +557,9 @@ def test_trajectory_rank_washout_drops_transient():
     assert bm.trajectory_rank(rows, washout=0).raw == 2
     with pytest.raises(ValueError, match="washout -95 must be nonnegative"):  # not the last 95 rows
         bm.trajectory_rank(rows, washout=-95)
+    for washout in (100, 120):
+        with pytest.raises(ValueError, match="no rows after washout"):
+            bm.trajectory_rank(rows, washout=washout)
 
 
 @pytest.mark.parametrize("threshold", [-1.0, 1.0, np.nan])
@@ -585,3 +602,6 @@ def test_non_finite_target_rows_are_refused_by_name():
         bm.train_linear_readout(x, y, bm.SplitSpec())
     with pytest.raises(ValueError, match="^target row 20 is not finite$"):  # the test segment's own index
         bm.rnmse(y[270:], np.zeros(30))
+    for bad in (np.nan, np.inf):  # a prediction row too, which would read a nan score
+        with pytest.raises(ValueError, match="^prediction row 2 is not finite$"):
+            bm.rnmse(np.arange(5.0), [0, 1, bad, 3, 4])

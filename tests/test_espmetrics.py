@@ -180,6 +180,9 @@ def test_ensemble_trace_rejects_window_longer_than_trajectory():
     traj = rv.run_reservoir(rv.DepolarizingReservoir(0.3), inputs, rho0)
     with pytest.raises(ValueError, match="lacks a full window"):
         em.ensemble_trace(traj, rho0, 2, 9)
+    for n_states in (0, 1):  # the indicators compare state pairs
+        with pytest.raises(ValueError, match="need at least two initial states"):
+            em.ensemble_draws(2, 1, n_states, 8, np.random.default_rng(0))
 
 
 def test_subset_indicator_ensemble_rejects_empty_selection():

@@ -47,6 +47,14 @@ def test_check_density_matrix_rejects_nonhermitian():
         qmat.check_density_matrix(rho)
 
 
+def test_check_density_matrix_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1] = bad
+        with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+            qmat.check_density_matrix(rho)
+
+
 def test_check_density_matrix_rejects_negative():
     rho = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
@@ -80,6 +88,9 @@ def test_partial_trace_bell_state():
 def test_partial_trace_rejects_tracing_everything():
     with pytest.raises(ValueError):
         qmat.partial_trace(random_density(2), [0, 1])
+    for traced in ([2], [-1]):
+        with pytest.raises(ValueError, match=f"qubit indices \\[{traced[0]}\\] out of range for 2 qubits"):
+            qmat.partial_trace(random_density(2), traced)
 
 
 def test_permute_qubits_swap():
@@ -92,6 +103,9 @@ def test_permute_qubits_swap():
 def test_permute_qubits_identity():
     rho = random_density(3)
     assert np.allclose(qmat.permute_qubits(rho, [0, 1, 2]), rho)
+    for src in ([0, 0, 1], [0, 1], [0, 1, 3]):
+        with pytest.raises(ValueError, match="not a permutation of 0..2"):
+            qmat.permute_qubits(rho, src)
 
 
 def test_stack_ops_equal_their_rows():
@@ -126,6 +140,9 @@ def test_evolution_unitary_against_expm():
 def test_cnot_power_endpoints():
     assert np.allclose(qmat.cnot_power(0.0), np.eye(4), atol=1e-14)
     assert np.allclose(qmat.cnot_power(1.0), qmat.U_CX, atol=1e-14)
+    for p in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            qmat.cnot_power(p)
 
 
 def test_cnot_power_group_law():
@@ -140,6 +157,9 @@ def test_haar_random_pure_state_properties():
     rho = qmat.haar_random_pure_state(2, np.random.default_rng(0))
     qmat.check_density_matrix(rho)
     assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12  # purity
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_qubits must be positive"):
+            qmat.haar_random_pure_state(n, np.random.default_rng(0))
 
 
 def test_haar_random_unitary_is_unitary():
@@ -162,6 +182,9 @@ def test_all_pauli_strings():
 
 def test_pauli_matrix_composite():
     assert np.allclose(qmat.pauli_matrix("XZ"), np.kron(qmat.X, qmat.Z))
+    for letters in ("", "XQ", "xz"):
+        with pytest.raises(ValueError, match=f"invalid Pauli string {letters!r}"):
+            qmat.pauli_matrix(letters)
 
 
 def test_pauli_basis_orthogonality():

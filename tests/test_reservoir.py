@@ -49,11 +49,33 @@ def test_sk_config_validation():
         rv.SkHamiltonianConfig(n_qubits=0)
     with pytest.raises(ValueError):
         rv.SkHamiltonianConfig(j_scale=-1.0)
+    with pytest.raises(ValueError, match="field_width must be nonnegative"):
+        rv.SkHamiltonianConfig(field_width=-0.1)
+    # a float or bool qubit count, or a negative or float seed, by name, not a TypeError at the first run
+    for n in (2.5, 3.0, True, np.int64(3)):
+        with pytest.raises(ValueError, match="n_qubits must be an integer of at least 2"):
+            rv.SkHamiltonianConfig(n_qubits=n)
+    for seed in (-1, 1.0):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            rv.SkHamiltonianConfig(seed=seed)
     # a non-finite value is refused up front, by name, not by the sampler or the eigensolver later
     for name in ("j_scale", "field_width", "global_field"):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 rv.SkHamiltonianConfig(**{name: value})
+
+
+def test_ns_model_config_validation():
+    three = rv.SkHamiltonianConfig(n_qubits=3)
+    assert rv.NsModelConfig(hamiltonian=three, reset_subsystem=(2, 0, 2)).reset_subsystem == (0, 2)
+    with pytest.raises(ValueError, match="reset subsystem must be nonempty"):
+        rv.NsModelConfig(reset_subsystem=())
+    for reset in ((0, 1), (2,), (-1,)):
+        with pytest.raises(ValueError, match="must be a strict subset of 0..1"):
+            rv.NsModelConfig(reset_subsystem=reset)
+    for reset in ((0.5,), (1.0,), (True,)):  # (True,) is not qubit 1
+        with pytest.raises(ValueError, match="reset subsystem qubits must be integers"):
+            rv.NsModelConfig(reset_subsystem=reset)
 
 
 def test_axis_config_validation():
@@ -272,6 +294,17 @@ def test_subset_reservoir_matches_manual_composition():
 def test_subset_config_validation():
     with pytest.raises(ValueError):
         rv.SubsetModelConfig(damping_rate=1.5)
+    for gamma in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="damping rate .* outside"):
+            rv.damping_kraus(gamma)
+    for p in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="cnot_exponent must be finite"):
+            rv.SubsetModelConfig(cnot_exponent=p)
+    # by name, not numpy's unnamed "expected non-negative integer" when the model draws its unitaries
+    for name in ("u0_seed", "u1_seed"):
+        for seed in (-1, 2.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
+                rv.SubsetModelConfig(**{name: seed})
 
 
 def test_depolarizing_reservoir_contracts_to_identity():
@@ -284,6 +317,30 @@ def test_depolarizing_reservoir_contracts_to_identity():
         d = qmat.trace_distance(rho, maxmix)
         assert abs(d - 0.75 * d_prev) < 1e-12
         d_prev = d
+    for epsilon in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="epsilon .* outside"):
+            rv.DepolarizingReservoir(epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+def test_depolarizing_map_matches_density_matrix_step(epsilon):
+    model = rv.DepolarizingReservoir(epsilon)
+    ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(2))
+    # T = (1 - eps) S_U + eps e_0 e_0^T, with S_U the Pauli transfer matrix of U rho U^dag, one constant term
+    s_u = np.einsum("jab,kba->jk", ops, model.unitary @ ops @ model.unitary.conj().T).real / 4
+    expected = (1 - epsilon) * s_u
+    expected[0, 0] += epsilon
+    assert np.abs(model.transfer(0.3) - expected).max() <= 1e-12
+    assert np.array_equal(model.transfer(np.array([-1.0, 0.0, 0.7])), np.broadcast_to(model.transfer(0.3), (3, 16, 16)))
+    # 2000 steps of run_reservoir against a loop over the density-matrix step
+    rng = np.random.default_rng(19)
+    inputs = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, 1997)])
+    rho = rho0 = qmat.haar_random_pure_state(2, rng)
+    steps = []
+    for u in inputs:
+        rho = model.step(rho, u)
+        steps.append(rv.pauli_expectations(rho, ops))
+    assert np.abs(rv.run_reservoir(model, inputs, rho0) - steps).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +366,7 @@ def test_run_reservoir_names_failing_step():
         with pytest.raises(RuntimeError, match=r"time index 2: input 3.0 outside \[-1, 1\]$"):
             rv.run_reservoir(model, inputs, np.eye(4, dtype=complex) / 4)
     # a readout of nan is out of range too, from its first step
-    broken = rv.DepolarizingReservoir(0.2)
+    broken = rv.NsReservoir(rv.NsModelConfig())
     broken.unitary = np.full((4, 4), np.nan, dtype=complex)
     with pytest.raises(RuntimeError, match="readout out of range at time index 0$"):
         rv.run_reservoir(broken, np.zeros((3, 4)), np.eye(4, dtype=complex) / 4)
@@ -367,8 +424,8 @@ def test_run_reservoir_washout_keeps_the_rows_after_it(model):
 
 def test_run_reservoir_checks_readout_inside_washout():
     class Kicked(rv.DepolarizingReservoir):  # the state triples at each input 0.5
-        def evolve(self, rho, u, out=None):
-            return np.multiply(super().evolve(rho, u), np.where(u == 0.5, 3.0, 1.0)[..., None, None], out=out)
+        def encode(self, u):
+            return super().encode(u) * np.where(u == 0.5, 3.0, 1.0)[..., None, None]
 
     inputs = np.zeros(3 * rv.TRANSFER_BLOCK)
     inputs[70] = 0.5  # in the second block, before the washout's end
@@ -602,6 +659,12 @@ def test_classical_biased_identity():
 def test_classical_config_validation():
     with pytest.raises(ValueError):
         rv.ClassicalRefConfig(kind="warped")
+    for rate in (0.0, -0.5):
+        with pytest.raises(ValueError, match="scaled system requires a positive rate"):
+            rv.ClassicalRefConfig(kind="scaled", rate=rate)
+    # b t overflows at step 1: refused by name, not returned as inf rows
+    with pytest.raises(OverflowError, match="classical reference overflowed at step 1$"):
+        rv.run_classical_reference(rv.ClassicalRefConfig(kind="biased", rate=1e308), np.zeros(5), np.zeros(20))
     for kind in ("biased", "scaled"):
         for rate in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="rate"):

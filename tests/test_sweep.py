@@ -98,6 +98,13 @@ def test_config_validation():
             sweep.SweepConfig(metrics=("esp",), ipc_budget=budget)
     with pytest.raises(ValueError, match="surrogate_count must be nonnegative"):
         sweep.SweepConfig(metrics=("esp",), ipc_surrogates=-3)
+    for name in ("azimuth_count", "polar_count", "gamma_count", "p_count"):
+        with pytest.raises(ValueError, match="grid resolutions must be at least 2"):
+            sweep.SweepConfig(**{name: 1})
+    for grid in (sweep.flatten_sphere, sweep.gamma_p_grid):
+        for counts in ((1, 3), (3, 1)):
+            with pytest.raises(ValueError, match="grid resolutions must be at least 2"):
+                grid(*counts)
     # configs that would fail at every grid point, refused only where a metric reads the field
     with pytest.raises(ValueError, match="mc_washout 20 .* mc_max_delay 50"):
         sweep.SweepConfig(metrics=("mc",), mc_washout=20, mc_max_delay=50)
@@ -311,6 +318,9 @@ def test_emit_field_rejects_empty():
     )
     with pytest.raises(ValueError):
         sweep.emit_field(empty, "/tmp/never-written.csv")
+    one = replace(empty, coords=[(0.0, 0.0)], values=[{"esp": 0.5}], errors=[None])
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        sweep.emit_field(one, "/tmp/never-written.xml", fmt="xml")
 
 
 def test_fmt_specials():
@@ -411,6 +421,28 @@ def test_cli_runs_and_writes(tmp_path):
     assert code == sweep.EXIT_OK
     header, rows, errors = sweep.parse_field_csv(str(out))
     assert len(rows) == 4
+
+
+def test_cli_overrides_experiment_and_metrics_and_reports_failed_points(tmp_path, capsys):
+    # the file asks for the gamma-p grid and mc; --experiment and --metrics replace both. On the axis grid
+    # of chunked_config, NARMA10 diverges at grid point 5 of seed 0 alone: the sweep goes on and exits 2
+    cfg = chunked_config(tmp_path)
+    fields = dict(experiment="subset_gamma_p_grid", metrics=["mc"], mc_len=300, mc_washout=100, mc_max_delay=5,
+                  azimuth_count=cfg.azimuth_count, polar_count=cfg.polar_count, narma_len=cfg.narma_len,
+                  narma_sequences=cfg.narma_sequences)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(fields))
+    out = tmp_path / "field.csv"
+    code = sweep.main(["--config", str(cfgfile), "--experiment", "ns_esp_axis_grid", "--metrics", "narma2,narma10",
+                       "--out", str(out)])
+    assert code == sweep.EXIT_PARTIAL_FAILURE
+    assert capsys.readouterr().err == "1 of 9 grid points failed\n"
+    header, rows, errors = sweep.parse_field_csv(str(out))
+    assert header == ["azimuth", "polar", "narma2", "narma10", "error"]
+    assert len(rows) == 9
+    assert [i for i, e in enumerate(errors) if e] == [5]
+    assert errors[5].startswith("ValueError: NARMA10 diverged at step")
+    assert np.isnan(rows[5][2:]).all() and np.isfinite(np.delete(rows, 5, axis=0)).all()
 
 
 def test_cli_module_entry_point_runs_without_warning():
