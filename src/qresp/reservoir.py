@@ -4,33 +4,27 @@ Two quantum models are provided:
 
 * ``NsReservoir`` -- an SK-Hamiltonian reservoir driven by reset-input
   encoding: one subsystem is replaced each step by an input-parametrized
-  pure state, then the whole register evolves under exp(-iH).  The state
-  of each reset qubit is sigma(u) = c c^dag, with c = U(u)|0> and
-  U(u) = U3^dag Rz(arccos u) U3, one (rows, 2) @ (2, 2) GEMM per axis frame.
+  pure state, then the whole register evolves under exp(-iH).
 * ``SubsetReservoir`` -- a two-qubit reservoir with local random
   unitaries, amplitude damping on qubit 0 and a fractional-CNOT
   entangler, driven by a product R_Y input rotation.
 
-Every ``step``, and ``run_reservoir``, also acts on a stack of density
-matrices, shape (..., d, d), driven by inputs of the stack's leading shape:
-each trajectory of a stack gets the bits a single one does.  Its rows share
-GEMMs with those of other trajectories (the encode, the conjugation by
-exp(-iH), the readout), and each such GEMM adds a row's terms in the order of
-that row's own product.
-``run_reservoir`` returns the readout as a plain float array, one column per
-Pauli string of ``qmat.all_pauli_strings``.  It has one loop for every model,
-state <- evolve(state, encode(u)), with one ``encode`` and one readout per
-64 steps, and two paths: the state is an ``NsReservoir``'s density matrix, or
-a ``PauliMap``'s real Pauli vector, stepped by x <- sum_f c_f(u) T_f x with
-c(u) the ``input_features`` of the input, each T_f built by ``pauli_transfer``.
-``SubsetReservoir`` and ``DepolarizingReservoir`` (the analytically solvable
-toy channel of the property suites, a constant map) are maps on the whole
-readout; an ``NsReservoir``'s ``kept`` is one on its kept qubits,
-4**(n - |A|) numbers (4 at n = 2), since the reset discards A each step.
-Only ESP and NS-ESP ensembles step the kept map (see
-``espmetrics.stepped``); every other run of an ``NsReservoir`` steps rho.
-Each density-matrix ``step`` stays the definition these maps agree with to
-rounding.
+Every model steps by one protocol, which ``run_reservoir`` drives in blocks
+of 64 steps: ``initial(rho0)`` is the state of density matrices,
+``encode(u)`` the part of a step the input alone fixes, ``evolve(state, enc,
+out)`` one step, ``read(states, u)`` a block's 4**n Pauli expectations from
+its first state and the state after each step, and ``stack(models)`` one
+model for the points of several, axis 1 of its inputs running over them.
+The state is an ``NsReservoir``'s density matrix (``ResetEncoding``), or a
+``PauliMap``'s real Pauli vector, x <- sum_f c_f(u) T_f x with c(u) the
+``input_features`` of the input and each T_f built by ``pauli_transfer``:
+``SubsetReservoir`` and ``DepolarizingReservoir`` (a constant toy channel)
+on the whole readout, an ``NsReservoir``'s ``kept`` on its 4**(n - |A|) kept
+numbers.  Only ESP and NS-ESP ensembles step the kept map (see
+``espmetrics.stepped``); each density-matrix ``step`` stays the definition
+the maps agree with to rounding.  Each trajectory of a batch, states
+(..., d, d) and inputs (..., T), gets the bits it gets alone: rows share
+GEMMs, and each adds a row's terms in the order of that row's own product.
 
 ``run_classical_reference`` runs contracting tanh echo-state networks
 with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t).
@@ -39,6 +33,7 @@ with optional per-step scaling (y_t = c^t x_t) or bias (y_t = x_t + b t).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -275,16 +270,15 @@ def sk_evolution(cfg: SkHamiltonianConfig) -> tuple[np.ndarray, np.ndarray, np.n
     return matrices
 
 
-class NsReservoir:
-    """SK-Hamiltonian reservoir with reset-input encoding; exp(-iH) compiled once per Hamiltonian.
-    `step(rho, u)` is `evolve(rho, encode(u))`, and `encode` depends on the input alone."""
+class ResetEncoding:
+    """The stepping protocol of ``NsReservoir``: the reset qubits `reset` take sigma_A(u), turned in the axis frame
+    U3 `frame`, (2, 2), then the register evolves under exp(-iH).  A stack (``NsReservoir.stack``) has one frame
+    per point of axis 1 of the inputs, (P, 2, 2), and no point's config or kept map."""
 
-    def __init__(self, config: NsModelConfig):
-        self.config = config
-        self.hamiltonian, self.unitary, self.unitary_dag = sk_evolution(config.hamiltonian)
-        self.frame = axis_frame_unitary(config.axis)  # encode's U3; sweep._joint stacks those of several axes
-        self.n_qubits = n = config.hamiltonian.n_qubits
-        reset = config.reset_subsystem
+    def __init__(self, hamiltonian: SkHamiltonianConfig, reset: tuple[int, ...], frame: np.ndarray):
+        self.hamiltonian, self.unitary, self.unitary_dag = sk_evolution(hamiltonian)
+        self.reset, self.frame = reset, frame
+        self.n_qubits = n = hamiltonian.n_qubits
         # tr_A sums the two slices diagonal in each qubit q of A, lowest first, r of A already gone
         self.traced_shapes = [(2 ** (q - r), 2, 2 ** (n - 1 - q)) * 2 for r, q in enumerate(reset)]
         self.kept_dim = 2 ** (n - len(reset))
@@ -292,9 +286,14 @@ class NsReservoir:
         source = [order.index(q) for q in range(n)]  # the factors of tr_A(rho) (x) sigma_A in qubit order
         self.axes = None if source == sorted(source) else (0, *(1 + p for p in source), *(1 + n + p for p in source))
 
+    def initial(self, rho0) -> np.ndarray:
+        """The state of the density matrices rho0: rho0 itself, complex."""
+        return np.asarray(rho0, dtype=complex)
+
     def encode(self, u) -> np.ndarray:
-        """The reset states sigma_A(u), shape np.shape(u) + (2**|A|, 2**|A|)."""
-        return encoded_state(u, self.frame, n_qubits=len(self.config.reset_subsystem))
+        """The reset states sigma_A(u), shape np.shape(u) + (2**|A|, 2**|A|); a stack's frame p turns u[:, p]."""
+        frame = self.frame.reshape(self.frame.shape[:-2] + (1,) * (np.ndim(u) + 1 - self.frame.ndim) + (2, 2))
+        return encoded_state(u, frame, n_qubits=len(self.reset))
 
     def reset_encode(self, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """tr_A(rho) (x) sigma_A: the reset subsystem A replaced by sigma_A, in the original qubit order,
@@ -320,14 +319,34 @@ class NsReservoir:
         product = np.matmul(rows, self.unitary_dag, out=None if out is None else out.reshape(-1, d))
         return product.reshape(x.shape)
 
+    def read(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The readout (L, ..., 4**n) of the density matrices after each step, states[1:] of the L + 1 states."""
+        return pauli_expectations(states[1:], pauli_operators(self.n_qubits))
+
+
+class NsReservoir(ResetEncoding):
+    """SK-Hamiltonian reservoir with reset-input encoding about one axis; exp(-iH) compiled once per Hamiltonian.
+    `step(rho, u)` is `evolve(rho, encode(u))`, and `encode` depends on the input alone."""
+
+    def __init__(self, config: NsModelConfig):
+        self.config = config
+        super().__init__(config.hamiltonian, config.reset_subsystem, axis_frame_unitary(config.axis))
+
     def step(self, rho: np.ndarray, u) -> np.ndarray:
         return self.evolve(rho, self.encode(u))
+
+    @staticmethod
+    def stack(models) -> ResetEncoding:
+        """One model whose inputs' axis 1 runs over `models` (of one H and A), each at its own axis; one is itself."""
+        return models[0] if len(models) == 1 else ResetEncoding(
+            models[0].config.hamiltonian, models[0].reset, np.stack([m.frame for m in models]))
 
     @cached_property
     def kept(self) -> PauliMap:
         """This reservoir on its kept subsystem, built on first use: `step` to rounding, on 4**(n - |A|) numbers.
-        Term f is the Pauli transfer matrix of `evolve` at sigma_f, with sigma_A(u) = sum_f c_f(u) sigma_f."""
-        reset = self.config.reset_subsystem
+        Term f is the Pauli transfer matrix of `evolve` at sigma_f, with sigma_A(u) = sum_f c_f(u) sigma_f, on
+        the kept columns: only their operators are evolved."""
+        reset, d = self.reset, 2 ** len(self.reset)
         # sigma(u) = (I + b.sigma) / 2, b = z rotated by arccos u about the axis a:
         # b = (a.z) a + u (z - (a.z) a) + sqrt(1 - u^2) a x z
         a = self.config.axis.unit_vector
@@ -335,10 +354,9 @@ class NsReservoir:
         sigma = bloch
         for _ in reset[1:]:  # the Pauli vector of sigma_A is the kron of its qubits', term by term
             sigma = (sigma[:, None, :, None] * bloch[None, :, None, :]).reshape(len(sigma) * 3, -1)
-        states = np.tensordot(sigma, pauli_operators(len(reset)), 1) / 2 ** len(reset)
-        terms = pauli_transfer(lambda ops: self.evolve(ops, states[:, None]), self.n_qubits)
+        states = (sigma @ pauli_operators(len(reset)).reshape(d * d, -1)).reshape(-1, d, d) / d
         columns = [i for i, s in enumerate(qmat.all_pauli_strings(self.n_qubits)) if all(s[q] == "I" for q in reset)]
-        return PauliMap(terms[..., columns], columns)
+        return PauliMap(pauli_transfer(lambda ops: self.evolve(ops[columns], states[:, None]), self.n_qubits), columns)
 
 
 class PauliMap:
@@ -358,6 +376,16 @@ class PauliMap:
         self.n_qubits, self.copies = round(math.log(rows, 4)), round(math.log(count, 3))
         self.maps = terms[..., columns, :].reshape(lead + (count, kept * kept))
         self.readout_terms = None if kept == rows else terms.swapaxes(-1, -2).reshape(lead + (count * kept, rows))
+
+    def initial(self, rho0) -> np.ndarray:
+        """The state of the density matrices rho0: their readout columns `columns`, as (..., K, 1) Pauli vectors."""
+        return pauli_expectations(rho0, pauli_operators(self.n_qubits))[..., self.columns, None]
+
+    @staticmethod
+    def stack(models) -> PauliMap:
+        """One map whose inputs' axis 1 runs over `models` (of one shape), each by its own terms; one is itself."""
+        return models[0] if len(models) == 1 else PauliMap(
+            np.stack([m.terms for m in models])[:, None], models[0].columns)
 
     def transfer(self, u) -> np.ndarray:
         """The maps sum_f c_f(u) A_f, shape np.shape(u) + (K, K).  Inputs are not checked.  Axis 0 of u is
@@ -504,16 +532,12 @@ def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarr
 
     The first time index with an input outside [-1, 1], or a readout outside
     it by more than 1e-9 (nan included), raises.  Every model runs state <-
-    evolve(state, encode(u)), with one `encode`, one readout and its range
-    check per block of steps.  The check takes the block's max and min once;
-    only a failing block is searched row by row for its first bad index.
-    There are two paths.  On an ``NsReservoir`` the state is rho, read
-    out after each step, bit for bit with a loop over `step`.  On a
-    ``PauliMap`` it is the map's readout columns of the Pauli vector, and the
-    block buffer also holds the block's first state, so that the map's `read`
-    takes the states before and after each step; this equals `step` to
-    rounding.  Either way a batch equals its rows, and an empty batch gives
-    an empty readout.
+    evolve(state, encode(u)) from initial(rho0), with one `encode`, one
+    readout and its range check per block of steps.  The check takes the
+    block's max and min once; only a failing block is searched row by row
+    for its first bad index.  The block buffer holds the block's first state
+    and the state after each step, all of which `read` takes.  A batch
+    equals its rows, and an empty batch gives an empty readout.
     """
     inputs = np.asarray(inputs, dtype=float)
     steps = inputs.shape[-1]
@@ -524,24 +548,18 @@ def run_reservoir(model, inputs, rho0: np.ndarray, washout: int = 0) -> np.ndarr
         t = np.nonzero(outside)[-1].min()
         raise RuntimeError(f"reservoir step failed at time index {t}: "
                            f"input {inputs[..., t][outside[..., t]][0]} outside [-1, 1]")
-    ops = pauli_operators(model.n_qubits)
     batch = np.broadcast_shapes(inputs.shape[:-1], np.shape(rho0)[:-2])
-    first = isinstance(model, PauliMap)  # the buffer then holds the block's first state at 0
-    if first:
-        state, dtype, readout = pauli_expectations(rho0, ops)[..., model.columns, None], float, model.read
-    else:
-        state, dtype, readout = rho0, complex, lambda rho, _: pauli_expectations(rho, ops)
+    state = model.initial(rho0)
     # Before the readout: freed, the buffer leaves a hole the next call reuses, not a heap top malloc trims.
-    states = np.empty((TRANSFER_BLOCK + first,) + batch + np.shape(state)[-2:], dtype=dtype)
-    values = np.empty(batch + (steps - washout, len(ops)))
+    states = np.empty((TRANSFER_BLOCK + 1,) + batch + state.shape[-2:], dtype=state.dtype)
+    values = np.empty(batch + (steps - washout, 4**model.n_qubits))
     for start in range(0, steps, TRANSFER_BLOCK):
         block = np.moveaxis(inputs[..., start:start + TRANSFER_BLOCK], -1, 0)
         encoded = model.encode(block)
-        if first:
-            states[0] = state
-        for sigma, out in zip(encoded, states[first:]):
+        states[0] = state
+        for sigma, out in zip(encoded, states[1:]):
             state = model.evolve(state, sigma, out)
-        read = readout(states[:len(block) + first], block)
+        read = model.read(states[:len(block) + 1], block)
         # the whole block at once: nan fails both tests, an empty batch passes
         if not (read.max(initial=0.0) <= 1.0 + 1e-9 and read.min(initial=0.0) >= -(1.0 + 1e-9)):
             over = ~(np.maximum(read.max(axis=-1), -read.min(axis=-1)) <= 1.0 + 1e-9)
@@ -572,8 +590,8 @@ class ClassicalRefConfig:
 
 
 def run_classical_reference(config: ClassicalRefConfig, inputs, y0) -> np.ndarray:
-    """Trajectory y_1..y_T (time-major) of x_{t+1} = tanh(W x_t + w_in u_t), wrapped by
-    scaling c^t or bias b t: 20 nodes, W drawn with seed 0 at spectral radius 0.9."""
+    """Trajectory y_1..y_T (time-major) of x_{t+1} = tanh(W x_t + w_in u_t), wrapped by scaling c^t or bias b t:
+    20 nodes, W drawn with seed 0 at spectral radius 0.9.  A c^t beyond the normal floats raises, naming its step."""
     rng = np.random.default_rng(0)
     w = rng.standard_normal((20, 20))
     w = w * (0.9 / np.max(np.abs(np.linalg.eigvals(w))))
@@ -584,10 +602,16 @@ def run_classical_reference(config: ClassicalRefConfig, inputs, y0) -> np.ndarra
 
     inputs = np.asarray(inputs, dtype=float)
     out = np.empty((len(inputs), len(w)))
-    y = np.asarray(y0, dtype=float)
+    y, scale = np.asarray(y0, dtype=float), 1.0  # scale is c^t
     for t, u in enumerate(inputs):
         if config.kind == "scaled":
-            y = config.rate ** (t + 1) * inner(y / config.rate**t, u)
+            try:
+                after = config.rate ** (t + 1)
+            except OverflowError:
+                raise OverflowError(f"classical reference scale rate**{t + 1} overflowed at step {t}") from None
+            if after < sys.float_info.min:  # y / c^t would divide by 0 or a subnormal
+                raise FloatingPointError(f"classical reference scale rate**{t + 1} underflowed at step {t}")
+            y, scale = after * inner(y / scale, u), after
         elif config.kind == "biased":
             y = inner(y - config.rate * t, u) + config.rate * (t + 1)
         else:

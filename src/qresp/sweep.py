@@ -24,7 +24,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,12 +32,10 @@ from .reservoir import (
     AxisConfig,
     NsModelConfig,
     NsReservoir,
-    PauliMap,
     SkHamiltonianConfig,
     SubsetModelConfig,
     SubsetReservoir,
     TRANSFER_BLOCK,
-    encoded_state,
     run_reservoir,
 )
 
@@ -253,23 +250,6 @@ def _drawn(model, rng: np.random.Generator, length: int, low: float, high: float
     return u, qmat.haar_random_pure_state(model.n_qubits, rng)
 
 
-def _joint(models):
-    """One model for the rows of all `models`, axis 0 of its batches running over them: one axis grid's
-    models share the SK unitary and reset subsystem, and each keeps its own input maps, its Pauli-map terms
-    or its axis frame, stacked so that one call encodes every point's inputs."""
-    first = models[0]
-    if len(models) == 1:
-        return first
-    if isinstance(first, PauliMap):
-        return PauliMap(np.stack([m.terms for m in models])[:, None], first.columns)
-    frames, reset = np.stack([m.frame for m in models]), len(first.config.reset_subsystem)
-
-    def encode(u):  # u is (step, point, ...): each point's frame broadcasts over the axes after its own
-        return encoded_state(u, frames.reshape((len(models),) + (1,) * (u.ndim - 2) + (2, 2)), n_qubits=reset)
-
-    return SimpleNamespace(n_qubits=first.n_qubits, evolve=first.evolve, encode=encode)
-
-
 def _capacity_runs(cfg: SweepConfig) -> dict:
     """The stream and length of each row of a point's capacity batch: the mc run, which mc and ipc read, then
     the rank run."""
@@ -284,12 +264,10 @@ def _capacity_runs(cfg: SweepConfig) -> dict:
 def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     """Every requested metric at each of `points`, (index, coord) pairs of the grid.
 
-    Each point draws from its own streams; each kind of run drives the rows of all points in
-    one `run_reservoir` call, and each point finishes its metrics on its own rows.  Several
-    points must lie on one grid: each readout is then bit for bit the point's own.  The
-    indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others the model itself
-    (rho for an ``NsReservoir``, the Pauli map for a ``SubsetReservoir``).
-    A point's generator of a stream (`point_rng`) is built only when a metric draws from it.
+    Each point draws from its own streams, a generator (`point_rng`) built only when a metric draws from
+    it.  Each kind of run drives the rows of all points in one `run_reservoir` call of their steppers'
+    `stack`, bit for bit each point's own run, and each point finishes its metrics on its own rows.  The
+    indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others the model itself.
 
     A point's capacity run (`_capacity_runs`) holds its mc run, which mc and ipc read, and its
     rank run as two rows of one batch, each drawn from its own stream.  The shorter row is
@@ -305,7 +283,8 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
         their steppers."""
         inputs, rho0 = map(np.stack, zip(*(draw(model, *(point_rng(cfg.seed, index, s) for s in streams))
                                            for (index, _), model in zip(points, models))))
-        return inputs, rho0, run_reservoir(_joint([stepper(model) for model in models]), inputs, rho0, washout=washout)
+        steppers = [stepper(model) for model in models]
+        return inputs, rho0, run_reservoir(steppers[0].stack(steppers), inputs, rho0, washout=washout)
 
     ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len)
     for stream, selector in (("esp", None), ("ns_esp_damping", espmetrics.damping_subsystem_selection),

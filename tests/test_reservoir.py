@@ -434,34 +434,20 @@ def test_run_reservoir_checks_readout_inside_washout():
 
 
 def _with_readouts(model, bad: dict):
-    """A copy of `model` whose readout at time index t of batch row r reads bad[t, r] exactly: a kept
-    map's `read` writes it into column 5; otherwise `evolve` sets the state after step t, a Pauli
-    vector to bad[t, r] in component 5, a density matrix to bad[t, r] at entry (0, 0) and 0 elsewhere,
-    which every Z-type string, the identity included, reads as bad[t, r] and the others as 0."""
+    """A copy of `model` whose readout at time index t of batch row r reads bad[t, r] exactly: its `read`
+    writes it into column 5."""
     copy = object.__new__(type(model))
     copy.__dict__.update(model.__dict__)
-    steps = itertools.count()  # blocks read, or steps evolved
-    if hasattr(model, "read"):
-        def read(k, u):
-            y, start = type(model).read(model, k, u), next(steps) * rv.TRANSFER_BLOCK
-            for (t, r), value in bad.items():
-                if start <= t < start + len(u):
-                    y[t - start, r, 5] = value
-            return y
+    blocks = itertools.count()
 
-        copy.read = read
-    else:
-        def evolve(state, m, out=None):
-            new, t = type(model).evolve(model, state, m, out), next(steps)
-            for r in (r for (at, r) in bad if at == t):
-                if new.shape[-1] == 1:
-                    new[r, 5, 0] = bad[t, r]
-                else:
-                    new[r] = 0.0
-                    new[r, 0, 0] = bad[t, r]
-            return new
+    def read(states, u):
+        y, start = type(model).read(model, states, u), next(blocks) * rv.TRANSFER_BLOCK
+        for (t, r), value in bad.items():
+            if start <= t < start + len(u):
+                y[t - start, r, 5] = value
+        return y
 
-        copy.evolve = evolve
+    copy.read = read
     return copy
 
 
@@ -497,8 +483,7 @@ def test_run_reservoir_passes_readouts_at_the_bound(model):
     bound = 1.0 + 1e-9
     # at the last step, which no later readout reads
     poisoned = _with_readouts(model, {(steps - 1, 1): bound, (steps - 1, 2): -bound})
-    column = 0 if model is NS_2Q else 5
-    assert np.array_equal(rv.run_reservoir(poisoned, inputs, states)[1:, -1, column], [bound, -bound])
+    assert np.array_equal(rv.run_reservoir(poisoned, inputs, states)[1:, -1, 5], [bound, -bound])
 
 
 @pytest.mark.parametrize(
@@ -543,6 +528,22 @@ def test_run_reservoir_batch_equals_its_rows(model, n_rows, last_block):
             rho = model.step(rho, drive[..., t])
             expected.append(rv.pauli_expectations(rho, ops))
         assert np.array_equal(result, np.stack(expected, axis=-2))
+
+
+def test_stack_runs_each_point_as_its_own_model():
+    # three axes of one Hamiltonian, poles included, each point two rows: the stack's run is each point's own
+    models = [rv.NsReservoir(rv.NsModelConfig(axis=rv.AxisConfig(azimuth, polar)))
+              for azimuth, polar in ((0.3, 1.1), (2.0, 0.0), (4.0, np.pi))]
+    rng = np.random.default_rng(59)
+    inputs = rng.uniform(-1, 1, (3, 2, rv.TRANSFER_BLOCK + 5))
+    states = np.stack([[qmat.haar_random_pure_state(2, rng) for _ in range(2)] for _ in range(3)])
+    for points in (models, [model.kept for model in models]):
+        stack = points[0].stack(points)
+        together = rv.run_reservoir(stack, inputs, states)
+        for point, u, rho, traj in zip(points, inputs, states, together):
+            assert np.array_equal(traj, rv.run_reservoir(point, u, rho))  # bit for bit, not to a tolerance
+        assert points[0].stack(points[:1]) is points[0]
+        assert not hasattr(stack, "kept") and not hasattr(stack, "config")  # no point's own state
 
 
 @pytest.mark.parametrize(
@@ -665,6 +666,11 @@ def test_classical_config_validation():
     # b t overflows at step 1: refused by name, not returned as inf rows
     with pytest.raises(OverflowError, match="classical reference overflowed at step 1$"):
         rv.run_classical_reference(rv.ClassicalRefConfig(kind="biased", rate=1e308), np.zeros(5), np.zeros(20))
+    # c^t leaves the floats at step 1: above them, and below them, where y / c^t would divide by 0
+    with pytest.raises(OverflowError, match=r"classical reference scale rate\*\*2 overflowed at step 1$"):
+        rv.run_classical_reference(rv.ClassicalRefConfig(kind="scaled", rate=1e200), np.zeros(5), np.zeros(20))
+    with pytest.raises(FloatingPointError, match=r"classical reference scale rate\*\*2 underflowed at step 1$"):
+        rv.run_classical_reference(rv.ClassicalRefConfig(kind="scaled", rate=1e-200), np.zeros(5), np.zeros(20))
     for kind in ("biased", "scaled"):
         for rate in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="rate"):
