@@ -120,7 +120,7 @@ def stepped(model):
     density-matrix `step` to rounding on the kept Pauli vector (4 real numbers at n = 2), or else the
     model.  The kept map is taken here alone.  NARMA, mc, ipc and rank runs step rho until the readout fit is
     well-posed (ROADMAP item 1): through the kept map, narma2 moves at the poles, where the pinv fit
-    follows rounding (51 of the 720 `axis_narma2` benchmark cells of sweep seeds 0-9, up to 2.4%)."""
+    follows rounding (41 of the 720 `axis_narma2` benchmark cells of sweep seeds 0-9, up to 1.3%)."""
     return getattr(model, "kept", model)
 
 

@@ -58,8 +58,9 @@ INDICATOR_METRICS = {"esp"} | NS_METRICS
 # per axis-grid task (see chunk_size): every task pays a near-fixed cost per batched rho step, NARMA
 # recurrence step and block encode/readout, whatever its row count (an axis_narma2 sweep's CPU read 575,
 # 356, 281 and 261 ms at 9, 18, 36 and 72 points a task, in process, BLAS at 1 thread), so tasks carry
-# five points of the default indicator ensemble, eighteen of 2 x 1,200-step NARMA runs
-CHUNK_BYTES = 4 << 20
+# eleven points of the default indicator ensemble, thirty-six of 2 x 1,200-step NARMA runs; the
+# memory is what workers save by inheriting numpy.random from the parent (see run_sweep)
+CHUNK_BYTES = 8 << 20
 
 HAMILTONIAN_PRESETS = {
     "H1": {"j_scale": 1.0, "field_width": 0.312, "global_field": 0.013},
@@ -348,9 +349,11 @@ def chunk_size(cfg: SweepConfig) -> int:
     step) and the 64-step block buffers (state, inputs, readout and their temporaries, about 576
     bytes a step on either path, measured) of each row of their largest run.  A NARMA run keeps
     its rows from the washout's end on, and a capacity run is charged as its rows, mc and rank, at
-    the longer of their lengths.  The budget pays each call's near-fixed cost over more rows: five
-    points a task at the indicator defaults, eighteen for 2 x 1,200-step NARMA runs, and one for
-    the default 5 x 20,000-step runs, whose 6.6 MB exceed it.
+    the longer of their lengths.  The budget pays each call's near-fixed cost over more rows: eleven
+    points a task at the indicator defaults, thirty-six for 2 x 1,200-step NARMA runs, and one for
+    the default 5 x 20,000-step runs, whose 6.6 MB exceed it.  It is 8 MiB because forked workers
+    no longer import numpy.random each (see run_sweep): on the axis_narma2 benchmark that cut the
+    largest worker's peak RSS from 41.0 to 36.4 MB, and the doubled tasks spend it.
 
     One point a task on the gamma-p grid: its maps stack bit for bit, but a row-step there holds a
     16 x 16 transfer map (2 KB, not the 576 bytes charged above), and tasks of two points measured
@@ -407,6 +410,11 @@ def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
 
     The checkpoint's first line holds the config; resuming a checkpoint
     written with another config raises, naming the fields that differ.
+
+    A pool forks after numpy.random is loaded, so its workers inherit its pages (OpenSSL among
+    them) instead of each importing it; importing qresp itself still leaves it unloaded.  This
+    relies on the fork start method, Linux's default through Python 3.13: under spawn or
+    forkserver each worker loads it again, with the same fields but without the memory saving.
     """
     coords = grid_coordinates(cfg)
     ckpt = checkpoint_path(cfg.out_path)
@@ -428,6 +436,7 @@ def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
     size = chunk_size(cfg)
     tasks = [(cfg, pending[start : start + size]) for start in range(0, len(pending), size)]
     if tasks:
+        import numpy.random  # noqa: F401  (every point draws from it: loaded before the fork, workers inherit it)
         pool = None if cfg.workers == 1 else ProcessPoolExecutor(max_workers=cfg.workers)
         try:
             with open(ckpt, "a", encoding="utf-8") as fh:

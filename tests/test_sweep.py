@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -578,8 +579,49 @@ def chunked_config(tmp_path, **overrides):
     # 9 points in chunks of 4, 4 and 1, each chunk evaluated as one (NARMA10 diverges on one of these
     # points, which would send its chunk back to single points: test_axis_chunks_never_fall_back_* runs it)
     fields = dict(metrics=("esp", "ns_esp", "narma2"), azimuth_count=3, polar_count=3,
-                  indicator_len=1500, narma_len=1000, narma_sequences=2)
+                  indicator_len=3200, narma_len=1000, narma_sequences=2)
     return small_config(tmp_path, **{**fields, **overrides})
+
+
+@pytest.mark.parametrize("fields, size", [
+    (dict(experiment="ns_esp_axis_grid", metrics=("esp", "ns_esp"), azimuth_count=12, polar_count=6), 11),
+    (dict(experiment="ns_esp_axis_grid", metrics=("narma2",), azimuth_count=12, polar_count=6, narma_len=1200,
+          narma_sequences=2), 36),
+    (dict(experiment="ns_esp_axis_grid", metrics=("narma2",)), 1),  # 5 x 20,000 steps: 6.6 MB alone
+    (dict(experiment="subset_gamma_p_grid", metrics=("mc", "ipc", "rank"), gamma_count=3, p_count=3, mc_len=5000,
+          mc_washout=1000, rank_len=3000, rank_washout=1000), 1),
+])
+def test_chunk_size_at_the_benchmark_shapes(fields, size):
+    assert sweep.chunk_size(sweep.SweepConfig(**fields)) == size
+
+
+def test_pool_forks_after_numpy_random_is_loaded(tmp_path):
+    # in a fresh interpreter: this one loaded numpy.random long ago
+    script = textwrap.dedent("""\
+        import json, sys
+        from qresp import sweep
+        imported = "numpy.random" in sys.modules
+        at_fork = []
+
+        class Pool(sweep.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                at_fork.append("numpy.random" in sys.modules)
+                super().__init__(*args, **kwargs)
+
+        sweep.ProcessPoolExecutor = Pool
+        cfg = sweep.SweepConfig(metrics=("esp",), azimuth_count=2, polar_count=2, indicator_len=20,
+                                indicator_window=5, indicator_inputs=1, indicator_states=2, workers=2,
+                                out_path=sys.argv[1])
+        errors = sweep.run_sweep(cfg).errors
+        print(json.dumps({"imported": imported, "at_fork": at_fork, "errors": errors}))
+    """)
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "field.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"imported": False, "at_fork": [True], "errors": [None] * 4}
 
 
 def test_run_sweep_fields_equal_a_loop_over_evaluate_point(tmp_path, monkeypatch):
@@ -612,7 +654,7 @@ def test_axis_chunks_never_fall_back_to_single_points(tmp_path, monkeypatch):
     # a failing chunk reruns point by point, which would hide a fault of the chunk path behind equal
     # fields: here every metric of the axis grid runs in chunks of 3 points and none falls back
     cfg = small_config(
-        tmp_path, metrics=("esp", "ns_esp", "narma2", "narma10", "mc", "rank"), indicator_len=2000, narma_len=300,
+        tmp_path, metrics=("esp", "ns_esp", "narma2", "narma10", "mc", "rank"), indicator_len=4200, narma_len=300,
         narma_sequences=2, mc_len=400, mc_washout=100, mc_max_delay=10, rank_len=200, rank_washout=50,
     )
     assert sweep.chunk_size(cfg) == 3 and len(sweep.grid_coordinates(cfg)) == 6
