@@ -28,7 +28,6 @@ does a target row that the readout fit or RNMSE reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -416,27 +415,9 @@ def ipc_report(inputs, features, cfg: IpcConfig, washout: int, rng: np.random.Ge
 # ---------------------------------------------------------------------------
 # trajectory rank
 
-class RankResult:
-    """`raw` counts the significant singular values of the post-washout
-    features as recorded; `centered`, those after subtracting the column
-    means (a constant trajectory has raw rank 1 but centered rank 0), is
-    computed on first read, with an SVD of its own."""
-
-    def __init__(self, x: np.ndarray, rel_threshold: float):
-        self._x, self._rel_threshold = x, rel_threshold
-        self.raw = self._count(x)
-
-    def _count(self, m: np.ndarray) -> int:
-        s = np.linalg.svd(m, compute_uv=False)
-        return int(np.count_nonzero(s > self._rel_threshold * s[0]))
-
-    @cached_property
-    def centered(self) -> int:
-        return self._count(self._x - self._x.mean(axis=0))
-
-
-def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> RankResult:
-    """Count of significant singular values of the post-washout feature matrix.
+def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> int:
+    """Count of significant singular values of the post-washout feature matrix, as recorded: a
+    constant trajectory has rank 1.  For the rank about the column means, pass `x - x.mean(axis=0)`.
 
     A singular value counts when it exceeds `rel_threshold` times the
     largest one, so a relative cut well above round-off counts weakly
@@ -456,4 +437,5 @@ def trajectory_rank(features, rel_threshold: float = 1e-6, washout: int = 0) -> 
     if len(x) == 0:
         raise ValueError("no rows after washout")
     _check_rows(x, washout)
-    return RankResult(x, rel_threshold)
+    s = np.linalg.svd(x, compute_uv=False)
+    return int(np.count_nonzero(s > rel_threshold * s[0]))

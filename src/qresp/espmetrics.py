@@ -8,6 +8,8 @@ size w is available from index w-1 onward, and the reference window for the
 non-stationary indicator is the earliest valid one (index w-1).  Both
 indicators at time t come from one kernel, `_indicators`, that reads the row
 at t and two windows: the reference window and the window ending at t.
+`indicator_ensemble` is the one ensemble path, for a list of models with one
+generator each; the sweep's indicator cells are its results.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def _indicators(a: np.ndarray, b: np.ndarray, s0_dist, w: int, t: int) -> tuple[
     shape (..., T, C), from the row at t and two windows: the earliest full one and the one ending
     at t.  `s0_dist` broadcasts against the leading shape."""
     _check_window(t, w, a.shape[-2])
-    if np.any(np.asarray(s0_dist) <= 0.0):
-        raise ValueError("initial states must differ (s0_dist > 0)")
+    if not (np.isfinite(s0_dist) & (np.asarray(s0_dist) > 0.0)).all():
+        raise ValueError(f"initial-state distances must be finite and positive, got {s0_dist}")
     esp = np.linalg.norm(a[..., t, :] - b[..., t, :], axis=-1) / s0_dist
     v_ref = np.minimum(_window_variance(a, w - 1, w), _window_variance(b, w - 1, w))
     v_t = np.minimum(_window_variance(a, t, w), _window_variance(b, t, w))
@@ -124,18 +126,20 @@ def stepped(model):
     return getattr(model, "kept", model)
 
 
-def indicator_ensemble(model, n_inputs: int, n_states: int, seq_len: int, w: int, rng: np.random.Generator,
-                       columns=None) -> EnsembleIndicators:
-    """Average indicators over input sequences x unordered initial-state pairs.
+def indicator_ensemble(models, n_inputs: int, n_states: int, seq_len: int, w: int, rngs,
+                       columns=None) -> list[EnsembleIndicators]:
+    """Each model's indicators averaged over input sequences x unordered initial-state pairs.
 
-    `columns`, a nonempty sequence of readout column indices, restricts the
-    indicators to those columns (the subset indicators); None keeps all.
-    With the paper defaults (4 sequences, 3 states) this averages the
-    indicators of 12 trajectory pairs at the final time, all run in one batch
-    of the `stepped` model.
+    Model i draws its ensemble from rngs[i] (`ensemble_draws`), and the `stack` of the `stepped`
+    models runs them all in one batch, each bit for bit as alone.  `columns`, nonempty readout
+    column indices, restricts the indicators to them (the subset indicators); None keeps all.
+    At the paper defaults (4 sequences, 3 states) each averages 12 pairs at the final time.
     """
-    inputs, rho0 = ensemble_draws(model.n_qubits, n_inputs, n_states, seq_len, rng)
-    return ensemble_trace(run_reservoir(stepped(model), inputs, rho0), rho0, n_states, w, columns)
+    inputs, rho0 = map(np.stack, zip(*(ensemble_draws(m.n_qubits, n_inputs, n_states, seq_len, rng)
+                                       for m, rng in zip(models, rngs, strict=True))))
+    steppers = [stepped(m) for m in models]
+    trajs = run_reservoir(steppers[0].stack(steppers), inputs, rho0)
+    return [ensemble_trace(traj, states, n_states, w, columns) for traj, states in zip(trajs, rho0)]
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,15 @@ class SweepConfig:
             raise ValueError(f"metrics must be a sequence of names, got the string {self.metrics!r}")
         object.__setattr__(self, "metrics", tuple(self.metrics))
         object.__setattr__(self, "ipc_budget", tuple(tuple(pair) for pair in self.ipc_budget))
-        for f in fields(self):  # a float or bool here would fail at every grid point
-            if f.type in ("int", int) and not qmat.is_int(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        # a float or bool in an integer field would fail at every grid point, a non-string path when the field is written
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", int) and not qmat.is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in ("str", str) and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string, got {value!r}")
+        if not self.out_path:
+            raise ValueError("out_path must be nonempty")
         # for every metric set, as the integer fields: the one check of the IPC budget and surrogate count
         benchmarks.IpcConfig(budget=self.ipc_budget, surrogate_count=self.ipc_surrogates)
         if self.seed < 0:
@@ -266,9 +272,9 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     """Every requested metric at each of `points`, (index, coord) pairs of the grid.
 
     Each point draws from its own streams, a generator (`point_rng`) built only when a metric draws from
-    it.  Each kind of run drives the rows of all points in one `run_reservoir` call of their steppers'
-    `stack`, bit for bit each point's own run, and each point finishes its metrics on its own rows.  The
-    indicator runs step `espmetrics.stepped` (an ``NsReservoir``'s kept map), the others the model itself.
+    it.  Each kind of run drives the rows of all points in one `run_reservoir` call of a `stack`, bit for
+    bit each point's own run, and each point finishes its metrics on its own rows.  The indicator cells are
+    `espmetrics.indicator_ensemble` of the chunk's models; the NARMA and capacity runs step the models.
 
     A point's capacity run (`_capacity_runs`) holds its mc run, which mc and ipc read, and its
     rank run as two rows of one batch, each drawn from its own stream.  The shorter row is
@@ -279,24 +285,21 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     models = [_build_model(cfg, coord) for _, coord in points]
     values: list[dict] = [{} for _ in points]
 
-    def drive(streams, draw, stepper=lambda model: model, washout=0):
-        """Each point's draw(model, *rngs), one generator of each named stream, stacked, and one run of all
-        their steppers."""
+    def drive(streams, draw, washout=0):
+        """Each point's draw(model, *rngs), one generator of each named stream, stacked, and one run of them."""
         inputs, rho0 = map(np.stack, zip(*(draw(model, *(point_rng(cfg.seed, index, s) for s in streams))
                                            for (index, _), model in zip(points, models))))
-        steppers = [stepper(model) for model in models]
-        return inputs, rho0, run_reservoir(steppers[0].stack(steppers), inputs, rho0, washout=washout)
+        return inputs, rho0, run_reservoir(models[0].stack(models), inputs, rho0, washout=washout)
 
-    ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len)
+    ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len, cfg.indicator_window)
     for stream, selector in (("esp", None), ("ns_esp_damping", espmetrics.damping_subsystem_selection),
                              ("ns_esp_nondamping", espmetrics.non_damping_subsystem_selection)):
         names = [name for name in (("esp", "ns_esp") if stream == "esp" else (stream,)) if name in cfg.metrics]
         if names:
-            _, rho0, trajs = drive([stream], lambda m, rng: espmetrics.ensemble_draws(m.n_qubits, *ensemble, rng),
-                                   espmetrics.stepped)
             columns = selector and selector(qmat.all_pauli_strings(models[0].n_qubits))
-            for point, states, traj in zip(values, rho0, trajs):
-                trace = espmetrics.ensemble_trace(traj, states, cfg.indicator_states, cfg.indicator_window, columns)
+            traces = espmetrics.indicator_ensemble(
+                models, *ensemble, [point_rng(cfg.seed, index, stream) for index, _ in points], columns)
+            for point, trace in zip(values, traces):
                 point.update((name, trace.final_esp if name == "esp" else trace.final_ns) for name in names)
     # raw NARMA inputs u in [0, 0.5]: criterion 5's 4u - 1 moves every narma cell and waits for new references;
     # the run keeps the rows the fit reads, from the washout's end on
@@ -323,7 +326,7 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
 
         inputs, _, trajs = drive(runs, padded)
         ranks = [{"rank": float(benchmarks.trajectory_rank(traj[-1, :runs["rank"]], cfg.rank_threshold,
-                                                           cfg.rank_washout).raw)} if "rank" in runs else {}
+                                                           cfg.rank_washout))} if "rank" in runs else {}
                  for traj in trajs]
         if "mc" in runs:  # the mc rows copied out, so that the batch is freed before IPC
             inputs, trajs = inputs[:, 0, :cfg.mc_len].copy(), trajs[:, 0, :cfg.mc_len].copy()
@@ -437,7 +440,8 @@ def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
     tasks = [(cfg, pending[start : start + size]) for start in range(0, len(pending), size)]
     if tasks:
         import numpy.random  # noqa: F401  (every point draws from it: loaded before the fork, workers inherit it)
-        pool = None if cfg.workers == 1 else ProcessPoolExecutor(max_workers=cfg.workers)
+        # a forking pool starts all its workers at the first submit: no more than there are tasks
+        pool = None if cfg.workers == 1 else ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks)))
         try:
             with open(ckpt, "a", encoding="utf-8") as fh:
                 for chunk in map(_chunk_task, tasks) if pool is None else pool.map(_chunk_task, tasks):
@@ -528,16 +532,16 @@ def parse_field_csv(path: str):
 
 def _config_from_args(args) -> SweepConfig:
     base: dict = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
     cfg = SweepConfig(**base)
     overrides = {}
     if args.experiment:
         overrides["experiment"] = args.experiment
-    if args.metrics:
+    if args.metrics is not None:  # an empty value is refused, not dropped
         overrides["metrics"] = args.metrics.split(",")
-    if args.out:
+    if args.out is not None:
         overrides["out_path"] = args.out
     if args.workers is not None:
         overrides["workers"] = args.workers

@@ -36,8 +36,8 @@ def test_criterion_1_pole_degeneracy():
     esp_vals, ns_vals, var50 = [], [], []
     for polar in (0.0, np.pi):
         model = rv.NsReservoir(rv.NsModelConfig(hamiltonian=ham, axis=rv.AxisConfig(polar=polar)))
-        trace = em.indicator_ensemble(
-            model, n_inputs=4, n_states=3, seq_len=200, w=10, rng=np.random.default_rng(123)
+        [trace] = em.indicator_ensemble(
+            [model], n_inputs=4, n_states=3, seq_len=200, w=10, rngs=[np.random.default_rng(123)]
         )
         esp_vals.append(trace.final_esp)
         ns_vals.append(trace.final_ns)
@@ -126,8 +126,8 @@ def test_criterion_4_rank_dichotomy():
         f = (prev[:, :, None] * coeffs[:, None, :]).reshape(len(v), -1)
         x = traj[washout:]
         residual = np.max(np.abs(f @ m.T - x))
-        expected = bm.trajectory_rank(f, rel_threshold=max(f.shape) * eps).raw
-        rank = bm.trajectory_rank(x, rel_threshold=max(x.shape) * eps).raw
+        expected = bm.trajectory_rank(f, rel_threshold=max(f.shape) * eps)
+        rank = bm.trajectory_rank(x, rel_threshold=max(x.shape) * eps)
         s = np.linalg.svd(x, compute_uv=False)
         s = s / s[0]
         dropped = s[rank] if rank < len(s) else 0.0
@@ -174,8 +174,8 @@ def test_criterion_5_ns_esp_narma2_correspondence():
             model = rv.NsReservoir(
                 rv.NsModelConfig(hamiltonian=ham, axis=rv.AxisConfig(azimuth=azimuth, polar=polar))
             )
-            trace = em.indicator_ensemble(
-                model, n_inputs=2, n_states=2, seq_len=200, w=10, rng=np.random.default_rng(7)
+            [trace] = em.indicator_ensemble(
+                [model], n_inputs=2, n_states=2, seq_len=200, w=10, rngs=[np.random.default_rng(7)]
             )
             ns_field.append(min(trace.final_ns, 1e6))  # cap sentinel for ranking
             traj = rv.run_reservoir(model, u_enc, MIXED2)
@@ -205,12 +205,13 @@ def test_criterion_6_subset_esp_structure():
         for p in (0.0, 0.5, 1.0):
             model = rv.SubsetReservoir(rv.SubsetModelConfig(damping_rate=gamma, cnot_exponent=p))
             args = dict(n_inputs=2, n_states=2, seq_len=200, w=10)
-            damp_ns[gamma, p] = em.indicator_ensemble(
-                model, rng=np.random.default_rng(3), columns=damp, **args
-            ).final_ns
-            nond_ns[gamma, p] = em.indicator_ensemble(
-                model, rng=np.random.default_rng(3), columns=nond, **args
-            ).final_ns
+            [damp_trace] = em.indicator_ensemble(
+                [model], rngs=[np.random.default_rng(3)], columns=damp, **args
+            )
+            [nond_trace] = em.indicator_ensemble(
+                [model], rngs=[np.random.default_rng(3)], columns=nond, **args
+            )
+            damp_ns[gamma, p], nond_ns[gamma, p] = damp_trace.final_ns, nond_trace.final_ns
     damped_ok = all(v < 1e-2 for (g, _), v in damp_ns.items() if g >= 0.5)
     undamped_ok = all(v > 0.1 for (g, _), v in damp_ns.items() if g == 0.0)
     nondamp_ok = all(v > 0.1 for (g, p), v in nond_ns.items() if p == 0.0)
@@ -258,7 +259,7 @@ def test_criterion_8_capacity_oracles():
     def saturation(inputs, features, washout):
         cfg = bm.IpcConfig(budget=((1, 20), (2, 10), (3, 5)), surrogate_count=50)
         ipc = bm.ipc_report(inputs, features, cfg, washout, np.random.default_rng(23))
-        rank = bm.trajectory_rank(features, washout=washout).raw
+        rank = bm.trajectory_rank(features, washout=washout)
         return ipc.total, rank
 
     tested = [saturation(u, feats, 100)]

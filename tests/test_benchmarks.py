@@ -537,24 +537,22 @@ def test_trajectory_rank_exact_low_rank():
     basis = rng.standard_normal((3, 8))
     coeffs = rng.standard_normal((100, 3))
     m = coeffs @ basis
-    res = bm.trajectory_rank(m)
-    assert res.raw == 3
-    assert res.centered == 3
+    assert bm.trajectory_rank(m) == 3
+    assert bm.trajectory_rank(m - m.mean(axis=0)) == 3
 
 
 def test_trajectory_rank_centering_removes_constant():
     m = np.ones((50, 4))
-    res = bm.trajectory_rank(m)
-    assert res.raw == 1
-    assert res.centered == 0
+    assert bm.trajectory_rank(m) == 1
+    assert bm.trajectory_rank(m - m.mean(axis=0)) == 0
 
 
 def test_trajectory_rank_washout_drops_transient():
     rows = np.zeros((100, 2))
     rows[:, 0] = 1.0
     rows[:10, 1] = np.linspace(1, 0, 10)  # transient confined to the washout
-    assert bm.trajectory_rank(rows, washout=10).raw == 1
-    assert bm.trajectory_rank(rows, washout=0).raw == 2
+    assert bm.trajectory_rank(rows, washout=10) == 1
+    assert bm.trajectory_rank(rows, washout=0) == 2
     with pytest.raises(ValueError, match="washout -95 must be nonnegative"):  # not the last 95 rows
         bm.trajectory_rank(rows, washout=-95)
     for washout in (100, 120):

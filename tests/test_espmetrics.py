@@ -69,8 +69,11 @@ def test_esp_indicator_scales_with_distance():
 
 def test_esp_indicator_rejects_zero_distance():
     a = np.zeros((5, 2))
-    with pytest.raises(ValueError):
-        em.esp_indicator(a, a, s0_dist=0.0, t=2)
+    for s0_dist in (0.0, float("nan"), float("inf"), -1.0):  # nan read nan, and inf read 0.0
+        with pytest.raises(ValueError, match="finite and positive"):
+            em.esp_indicator(a, a, s0_dist=s0_dist, t=2)
+        with pytest.raises(ValueError, match="finite and positive"):
+            em.ns_esp_indicator(a, a + 1, s0_dist, w=2, t=4)
 
 
 def test_ns_indicator_variance_collapse_sentinel():
@@ -133,8 +136,8 @@ def test_ns_indicator_time_validation():
 
 def test_indicator_ensemble_contracting_model_decays():
     model = rv.DepolarizingReservoir(0.5)
-    short, long = (
-        em.indicator_ensemble(model, n_inputs=2, n_states=2, seq_len=seq_len, w=10, rng=np.random.default_rng(4))
+    [short], [long] = (
+        em.indicator_ensemble([model], n_inputs=2, n_states=2, seq_len=seq_len, w=10, rngs=[np.random.default_rng(4)])
         for seq_len in (10, 60)
     )
     assert long.final_esp < 1e-6
@@ -144,8 +147,8 @@ def test_indicator_ensemble_contracting_model_decays():
 def test_indicator_ensemble_pair_count_independence_of_order():
     # same rng seed gives identical indicators (pure function of the draw)
     model = rv.DepolarizingReservoir(0.3)
-    t1 = em.indicator_ensemble(model, 2, 2, 40, 10, np.random.default_rng(5))
-    t2 = em.indicator_ensemble(model, 2, 2, 40, 10, np.random.default_rng(5))
+    [t1] = em.indicator_ensemble([model], 2, 2, 40, 10, [np.random.default_rng(5)])
+    [t2] = em.indicator_ensemble([model], 2, 2, 40, 10, [np.random.default_rng(5)])
     assert t1.final_esp == t2.final_esp
     assert t1.final_ns == t2.final_ns
 
@@ -170,7 +173,7 @@ def test_indicator_ensemble_matches_per_trajectory_loop(columns):
                 esp_sum += em.esp_indicator(rows[i], rows[j], s0_dist, seq_len - 1, columns)
                 ns_sum += em.ns_esp_indicator(rows[i], rows[j], s0_dist, w, seq_len - 1, columns)
                 count += 1
-        trace = em.indicator_ensemble(model, n_inputs, n_states, seq_len, w, np.random.default_rng(seed), columns)
+        [trace] = em.indicator_ensemble([model], n_inputs, n_states, seq_len, w, [np.random.default_rng(seed)], columns)
         assert trace.final_esp == esp_sum / count, seed
         assert trace.final_ns == ns_sum / count, seed
 
@@ -189,7 +192,7 @@ def test_subset_indicator_ensemble_rejects_empty_selection():
     model = rv.SubsetReservoir(rv.SubsetModelConfig())
     with pytest.raises(ValueError):
         em.indicator_ensemble(
-            model, n_inputs=1, n_states=2, seq_len=30, w=5, rng=np.random.default_rng(0), columns=[]
+            [model], n_inputs=1, n_states=2, seq_len=30, w=5, rngs=[np.random.default_rng(0)], columns=[]
         )
 
 

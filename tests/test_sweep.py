@@ -83,6 +83,12 @@ def test_config_validation():
         sweep.SweepConfig(preset="H9")
     with pytest.raises(ValueError):
         sweep.SweepConfig(workers=0)
+    # a path or name that is not a string would fail only once the sweep is done
+    for name, value in (("out_path", 5), ("experiment", None), ("preset", 1)):
+        with pytest.raises(ValueError, match=f"{name} must be a string"):
+            sweep.SweepConfig(**{name: value})
+    with pytest.raises(ValueError, match="out_path must be nonempty"):
+        sweep.SweepConfig(out_path="")
     # a negative seed or a non-integer count would fail at every grid point
     with pytest.raises(ValueError, match="seed -1 must be nonnegative"):
         sweep.SweepConfig(seed=-1)
@@ -378,6 +384,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
     bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"))))
     assert sweep.main(["--config", str(bad), "--seed", "-1"]) == sweep.EXIT_CONFIG_ERROR
+    for flags in (["--metrics", ""], ["--out", ""]):  # refused, not dropped for the config's values
+        assert sweep.main(["--config", str(bad), *flags]) == sweep.EXIT_CONFIG_ERROR
+    for out_path in (5, ""):  # a number failed in checkpoint_path with a TypeError
+        bad.write_text(json.dumps(dict(small, out_path=out_path)))
+        assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
+    bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"))))
+    assert sweep.main(["--config", ""]) == sweep.EXIT_CONFIG_ERROR
     assert not (tmp_path / "y.csv").exists()
     # resuming a checkpoint written with another seed
     bad.write_text(json.dumps(small))
@@ -465,7 +478,7 @@ def test_evaluate_point_reports_metric_set(tmp_path):
 
 @pytest.mark.parametrize("experiment", ["ns_esp_axis_grid", "subset_gamma_p_grid"])
 def test_rank_path_takes_one_svd_per_point(tmp_path, monkeypatch, experiment):
-    # the sweep reads the raw rank only; the centred count is computed on first read
+    # the sweep's rank cell and a trajectory_rank call each take one SVD
     cfg = small_config(tmp_path, experiment=experiment, metrics=("rank",), rank_len=200, rank_washout=50)
     calls = []
     svd = np.linalg.svd
@@ -473,9 +486,7 @@ def test_rank_path_takes_one_svd_per_point(tmp_path, monkeypatch, experiment):
     coord = sweep.grid_coordinates(cfg)[1]
     values = sweep.evaluate_point(cfg, 1, coord)
     assert len(calls) == 1
-    result = benchmarks.trajectory_rank(np.ones((50, 4)))
-    assert (result.raw, len(calls)) == (1, 2)
-    assert (result.centered, result.centered, len(calls)) == (0, 0, 3)  # once, when read
+    assert (benchmarks.trajectory_rank(np.ones((50, 4))), len(calls)) == (1, 2)
     assert set(values) == {"rank"}
 
 
@@ -505,6 +516,7 @@ def test_axis_chunk_rows_are_each_points_own_run(tmp_path, monkeypatch):
         return runs[-1][-1][..., washout:, :]
 
     monkeypatch.setattr(sweep, "run_reservoir", recorded)
+    monkeypatch.setattr(espmetrics, "run_reservoir", recorded)
     cfg = small_config(tmp_path, metrics=("esp", "narma2"), indicator_len=2 * 64 + 7, narma_len=300, narma_sequences=2)
     points = [(0, (0.0, 0.0)), (7, (1.3, 0.9)), (3, (4.0, np.pi)), (5, (2.2, 2.5))]
     sweep.evaluate_chunk(cfg, points)
@@ -512,6 +524,34 @@ def test_axis_chunk_rows_are_each_points_own_run(tmp_path, monkeypatch):
     for (inputs, rho0, readout), stepper in zip(runs, (espmetrics.stepped, lambda model: model)):
         for (_, coord), u, states, rows in zip(points, inputs, rho0, readout):
             assert np.array_equal(rows, run_reservoir(stepper(sweep._build_model(cfg, coord)), u, states))  # bit for bit
+
+
+def test_indicator_cells_are_the_library_ensembles(tmp_path):
+    # every indicator cell is indicator_ensemble of its point's own model, stream and column selection:
+    # on the axis grid from one chunk of several points, on the gamma-p grid a point at a time, as the sweep runs
+    basis = qmat.all_pauli_strings(2)
+    axis = small_config(tmp_path, metrics=("esp", "ns_esp"))
+    gamma_p = small_config(tmp_path, experiment="subset_gamma_p_grid", metrics=("ns_esp_damping", "ns_esp_nondamping"),
+                           gamma_count=2, p_count=2)
+    selections = {"esp": ("esp", None), "ns_esp": ("esp", None),
+                  "ns_esp_damping": ("ns_esp_damping", espmetrics.damping_subsystem_selection(basis)),
+                  "ns_esp_nondamping": ("ns_esp_nondamping", espmetrics.non_damping_subsystem_selection(basis))}
+    for cfg in (axis, gamma_p):
+        points = list(enumerate(sweep.grid_coordinates(cfg)))
+        if cfg is axis:
+            assert sweep.chunk_size(cfg) >= len(points) > 1
+            cells = sweep.evaluate_chunk(cfg, points)
+        else:
+            cells = [sweep.evaluate_point(cfg, *point) for point in points]
+        for (index, coord), values in zip(points, cells):
+            assert list(values) == list(cfg.metrics)
+            for name, value in values.items():
+                stream, columns = selections[name]
+                [trace] = espmetrics.indicator_ensemble(
+                    [sweep._build_model(cfg, coord)], cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len,
+                    cfg.indicator_window, [sweep.point_rng(cfg.seed, index, stream)], columns)
+                expected = trace.final_esp if name == "esp" else trace.final_ns
+                assert value.hex() == expected.hex(), (cfg.experiment, index, name)
 
 
 # the order in which evaluate_chunk fills a point's metrics, whatever order the config names them in: the
@@ -622,6 +662,21 @@ def test_pool_forks_after_numpy_random_is_loaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"imported": False, "at_fork": [True], "errors": [None] * 4}
+
+
+def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # a forking pool starts all max_workers processes at its first submit
+    sizes = []
+
+    class Pool(sweep.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", Pool)
+    cfg = chunked_config(tmp_path, workers=8)
+    assert sweep.run_sweep(cfg, resume=False).errors == [None] * 9
+    assert sizes == [3]  # chunks of 4, 4 and 1 points
 
 
 def test_run_sweep_fields_equal_a_loop_over_evaluate_point(tmp_path, monkeypatch):
