@@ -7,7 +7,7 @@ Two quantum models are provided:
   pure state, then the whole register evolves under exp(-iH).
 * ``SubsetReservoir`` -- a two-qubit reservoir with local random
   unitaries, amplitude damping on qubit 0 and a fractional-CNOT
-  entangler, driven by a product R_Y input rotation.
+  entangler, driven by R_Y(arccos u), ``input_unitary`` about y, on both.
 
 Every model steps by one protocol, which ``run_reservoir`` drives in blocks
 of 64 steps: ``initial(rho0)`` is the state of density matrices,
@@ -43,17 +43,7 @@ from . import qmat
 
 
 # ---------------------------------------------------------------------------
-# single-qubit rotations (half-angle convention)
-
-def ry(angle) -> np.ndarray:
-    """Rotation about Y by `angle` on the Bloch sphere; (..., 2, 2) for an array of angles."""
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    out = np.empty(np.shape(angle) + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    return out
-
+# inputs
 
 def input_features(u, copies: int = 1) -> np.ndarray:
     """c(u) = (1, u, sqrt(1 - u^2)) on a new last axis, or for `copies` > 1 the products of one entry of each
@@ -66,13 +56,6 @@ def input_features(u, copies: int = 1) -> np.ndarray:
     for _ in range(copies - 1):
         features = (features[..., :, None] * c[..., None, :]).reshape(c.shape[:-1] + (3 * features.shape[-1],))
     return features
-
-
-def _check_inputs(u) -> None:
-    """Raise ValueError naming the first input outside [-1, 1] (nan included)."""
-    inside = np.abs(u) <= 1.0
-    if not inside.all():
-        raise ValueError(f"input {np.asarray(u)[~inside].flat[0]} outside [-1, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +214,10 @@ def input_unitary(u, axis) -> np.ndarray:
     frame U3 then multiplies the rows of all its inputs in one (rows, 2) @ (2, 2) GEMM.  `axis` is an
     AxisConfig, or a stack of `axis_frame_unitary` frames, shape (..., 2, 2), that broadcasts against u:
     each entry of u then turns about its own axis.  Either way each U(u) has the bits of its own 2 x 2
-    product: no GEMM dimension falls below 2."""
-    _check_inputs(u)
+    product: no GEMM dimension falls below 2.  The first input outside [-1, 1] (nan included) raises ValueError."""
+    inside = np.abs(u) <= 1.0
+    if not inside.all():
+        raise ValueError(f"input {np.asarray(u)[~inside].flat[0]} outside [-1, 1]")
     frame = axis_frame_unitary(axis) if isinstance(axis, AxisConfig) else axis
     theta = np.arccos(u)
     rz = np.stack([np.exp(-0.5j * theta), np.exp(0.5j * theta)], axis=-1)
@@ -259,12 +244,11 @@ def encoded_state(u, axis, n_qubits: int = 1) -> np.ndarray:
 
 
 @cache
-def sk_evolution(cfg: SkHamiltonianConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H, exp(-iH) and its adjoint for the config, built once per process, read-only: every point of
-    an axis grid shares them."""
-    h = build_sk_hamiltonian(cfg)
-    unitary = qmat.evolution_unitary(h)
-    matrices = h, unitary, unitary.conj().T
+def sk_evolution(cfg: SkHamiltonianConfig) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-iH) of the config's Hamiltonian and its adjoint, built once per process, read-only: every
+    point of an axis grid shares them."""
+    unitary = qmat.evolution_unitary(build_sk_hamiltonian(cfg))
+    matrices = unitary, unitary.conj().T
     for m in matrices:
         m.flags.writeable = False
     return matrices
@@ -276,7 +260,7 @@ class ResetEncoding:
     per point of axis 1 of the inputs, (P, 2, 2), and no point's config or kept map."""
 
     def __init__(self, hamiltonian: SkHamiltonianConfig, reset: tuple[int, ...], frame: np.ndarray):
-        self.hamiltonian, self.unitary, self.unitary_dag = sk_evolution(hamiltonian)
+        self.unitary, self.unitary_dag = sk_evolution(hamiltonian)
         self.reset, self.frame = reset, frame
         self.n_qubits = n = hamiltonian.n_qubits
         # tr_A sums the two slices diagonal in each qubit q of A, lowest first, r of A already gone
@@ -387,16 +371,14 @@ class PauliMap:
         return models[0] if len(models) == 1 else PauliMap(
             np.stack([m.terms for m in models])[:, None], models[0].columns)
 
-    def transfer(self, u) -> np.ndarray:
-        """The maps sum_f c_f(u) A_f, shape np.shape(u) + (K, K).  Inputs are not checked.  Axis 0 of u is
-        time; each trajectory's maps come from a GEMM of its own, as alone: a one-row product rounds unlike
-        a row of a larger one."""
+    def encode(self, u) -> np.ndarray:
+        """The transfer maps sum_f c_f(u) A_f, shape np.shape(u) + (K, K).  Inputs are not checked.  Axis 0 of
+        u is time; each trajectory's maps come from a GEMM of its own, as alone: a one-row product rounds
+        unlike a row of a larger one."""
         u = np.asarray(u, dtype=float)
         features = input_features(np.atleast_1d(u), self.copies)
         kept = len(self.columns)
         return np.moveaxis(np.moveaxis(features, 0, -2) @ self.maps, -2, 0).reshape(u.shape + (kept, kept))
-
-    encode = transfer
 
     def evolve(self, k: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
         """A k on Pauli vectors held as (..., K, 1) columns."""
@@ -429,9 +411,10 @@ def damping_kraus(gamma: float) -> tuple[np.ndarray, np.ndarray]:
 
 class SubsetReservoir(PauliMap):
     """Two-qubit reservoir: local Haar unitaries, damping on qubit 0, fractional CNOT, then the input
-    rotation R_Y(arccos u) on both qubits.  As a map its state is the whole 16-dim Pauli vector, stepped
-    by T(u) = (R(u) (x) R(u)) S = sum_ij c_i c_j (R_i (x) R_j) S; the density-matrix `step` stays the
-    definition it agrees with to rounding."""
+    rotation R_Y(arccos u) on both qubits, `input_unitary` about the y axis of `frame`.  As a map its state
+    is the whole 16-dim Pauli vector, stepped by T(u) = (R(u) (x) R(u)) S = sum_ij c_i c_j (R_i (x) R_j) S,
+    built from `system_step` alone; the density-matrix `step` stays the definition it agrees with to
+    rounding."""
 
     def __init__(self, config: SubsetModelConfig):
         self.config = config
@@ -440,6 +423,7 @@ class SubsetReservoir(PauliMap):
         self.local_unitary = np.kron(u0, u1)
         self.damping = tuple(np.kron(k, np.eye(2, dtype=complex)) for k in damping_kraus(config.damping_rate))
         self.entangler = qmat.cnot_power(config.cnot_exponent)
+        self.frame = axis_frame_unitary(AxisConfig(azimuth=np.pi / 2, polar=np.pi / 2))
         # the Pauli transfer matrix S of system_step, and R_Y(arccos u)'s R(u) = sum_i c_i R_i in I, X, Y, Z
         # order, with c = (1, u, sqrt(1 - u^2))
         system = pauli_transfer(self.system_step, 2)
@@ -455,11 +439,10 @@ class SubsetReservoir(PauliMap):
         return self.entangler @ rho @ self.entangler.conj().T
 
     def step(self, rho: np.ndarray, u) -> np.ndarray:
-        _check_inputs(u)
-        rho = self.system_step(rho)
-        r = ry(np.arccos(u))
+        """`system_step`, then R (x) R with R = `input_unitary(u, frame)`, which refuses inputs outside [-1, 1]."""
+        r = input_unitary(u, self.frame)
         u_in = qmat.kron(r, r)
-        return u_in @ rho @ u_in.conj().swapaxes(-1, -2)
+        return u_in @ self.system_step(rho) @ u_in.conj().swapaxes(-1, -2)
 
 
 class DepolarizingReservoir(PauliMap):

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -396,7 +396,8 @@ def _load_checkpoint(path: str) -> list:
 
     Text after the last newline is a record torn by a crash mid-write: it
     is cut from the file, so that appending resumes on a line boundary, and
-    its point runs again.  An undecodable complete line raises.
+    its point runs again.  A complete line that does not decode raises, and
+    so does a header or point record of the wrong shape, naming the line.
     """
     if not os.path.exists(path):
         return []
@@ -405,7 +406,16 @@ def _load_checkpoint(path: str) -> list:
         end = data.rfind(b"\n") + 1
         if end < len(data):
             fh.truncate(end)
-    return [json.loads(line) for line in data[:end].splitlines() if line.strip()]
+    lines = [(number, json.loads(line)) for number, line in enumerate(data[:end].splitlines(), 1) if line.strip()]
+    for position, (number, row) in enumerate(lines):
+        if position == 0 and not (isinstance(row, dict) and isinstance(row.get("config", {}), dict)):
+            raise ValueError(f"checkpoint {path} line {number}: the header is not an object with a config object")
+        if position > 0 and not (isinstance(row, dict) and qmat.is_int(row.get("index"))
+                                 and isinstance(row.get("values"), dict)
+                                 and isinstance(row.get("error"), (str, type(None)))):
+            raise ValueError(f"checkpoint {path} line {number}: a point record needs an integer index, "
+                             "a values object and an error string or null")
+    return [row for _, row in lines]
 
 
 def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
@@ -469,11 +479,7 @@ def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
 # emission
 
 def _fmt(x: float) -> str:
-    if x != x:
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    return f"{x:.17g}"  # "nan", "inf" and "-inf" for the non-finite values
 
 
 def emit_field(result: FieldResult, path: str, fmt: str = "csv") -> None:
@@ -530,49 +536,41 @@ def parse_field_csv(path: str):
 # ---------------------------------------------------------------------------
 # CLI
 
-def _config_from_args(args) -> SweepConfig:
-    base: dict = {}
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
-    cfg = SweepConfig(**base)
-    overrides = {}
-    if args.experiment:
-        overrides["experiment"] = args.experiment
-    if args.metrics is not None:  # an empty value is refused, not dropped
-        overrides["metrics"] = args.metrics.split(",")
-    if args.out is not None:
-        overrides["out_path"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return replace(cfg, **overrides) if overrides else cfg
-
-
 def main(argv=None) -> int:
+    """`qresp-sweep`: a flag given, but --config and --format, is stored as the `SweepConfig` field it sets and
+    overrides that field of the --config JSON; one `SweepConfig` checks the merged fields.  A refused flag or
+    config, or a checkpoint or output path that cannot be used, returns EXIT_CONFIG_ERROR."""
     parser = argparse.ArgumentParser(
         prog="qresp-sweep",
         description="Grid sweeps of quantum-reservoir ESP indicators and benchmarks.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--config", help="JSON config file with SweepConfig fields")
-    parser.add_argument("--experiment", choices=EXPERIMENTS)
-    parser.add_argument("--metrics", help="comma-separated metric names")
-    parser.add_argument("--out", help="output file path")
+    parser.add_argument("--experiment", help=f"one of {', '.join(EXPERIMENTS)}")
+    parser.add_argument("--metrics", type=lambda names: names.split(","), help="comma-separated metric names")
+    parser.add_argument("--out", dest="out_path", help="output file path")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    args = parser.parse_args(argv)
+    try:
+        flags = vars(parser.parse_args(argv))
+    except SystemExit as exc:  # argparse has printed the help (code 0) or why it refused a flag
+        return EXIT_CONFIG_ERROR if exc.code else EXIT_OK
+    fmt = flags.pop("format")
 
     try:
-        cfg = _config_from_args(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+        json_fields = {}
+        if "config" in flags:
+            with open(flags.pop("config"), encoding="utf-8") as fh:
+                json_fields = json.load(fh)
+        cfg = SweepConfig(**{**json_fields, **flags})
+    except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    try:  # a checkpoint of another config or an undecodable one, or an output path that cannot be written
+    try:  # a checkpoint of another config or a malformed one, or an output path that cannot be written
         result = run_sweep(cfg)
-        emit_field(result, cfg.out_path, fmt=args.format)
+        emit_field(result, cfg.out_path, fmt=fmt)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

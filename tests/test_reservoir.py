@@ -285,7 +285,7 @@ def test_subset_reservoir_matches_manual_composition():
     a0, a1 = (np.kron(k, np.eye(2, dtype=complex)) for k in rv.damping_kraus(cfg.damping_rate))
     manual = a0 @ manual @ a0.conj().T + a1 @ manual @ a1.conj().T
     manual = model.entangler @ manual @ model.entangler.conj().T
-    r = rv.ry(np.arccos(u))
+    r = rv.input_unitary(u, rv.axis_frame_unitary(rv.AxisConfig(azimuth=np.pi / 2, polar=np.pi / 2)))
     u_in = np.kron(r, r)
     manual = u_in @ manual @ u_in.conj().T
     assert np.array_equal(model.step(rho, u), manual)
@@ -330,8 +330,8 @@ def test_depolarizing_map_matches_density_matrix_step(epsilon):
     s_u = np.einsum("jab,kba->jk", ops, model.unitary @ ops @ model.unitary.conj().T).real / 4
     expected = (1 - epsilon) * s_u
     expected[0, 0] += epsilon
-    assert np.abs(model.transfer(0.3) - expected).max() <= 1e-12
-    assert np.array_equal(model.transfer(np.array([-1.0, 0.0, 0.7])), np.broadcast_to(model.transfer(0.3), (3, 16, 16)))
+    assert np.abs(model.encode(0.3) - expected).max() <= 1e-12
+    assert np.array_equal(model.encode(np.array([-1.0, 0.0, 0.7])), np.broadcast_to(model.encode(0.3), (3, 16, 16)))
     # 2000 steps of run_reservoir against a loop over the density-matrix step
     rng = np.random.default_rng(19)
     inputs = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, 1997)])
@@ -518,7 +518,7 @@ def test_run_reservoir_batch_equals_its_rows(model, n_rows, last_block):
     # a batch of states under one shared input sequence broadcasts the same way
     shared = rv.run_reservoir(model, inputs[0], states)
     assert np.array_equal(shared[2], rv.run_reservoir(model, inputs[0], states[2]))
-    if hasattr(model, "transfer"):
+    if isinstance(model, rv.PauliMap):
         return  # agrees with its step to rounding: test_*_matches_density_matrix_step
     # otherwise the readout is that of a plain loop over `step`, bit for bit, batched or broadcast
     ops = qmat.pauli_basis_matrices(qmat.all_pauli_strings(model.n_qubits))
@@ -565,7 +565,7 @@ def test_subset_transfer_matches_density_matrix_step(gamma, p):
     mixed = 0.3 * qmat.haar_random_pure_state(2, rng) + 0.7 * qmat.haar_random_pure_state(2, rng)
     for rho in (qmat.haar_random_pure_state(2, rng), mixed):
         for u in (-1.0, 0.0, 1.0, *rng.uniform(-1, 1, 4)):
-            one_step = model.transfer(u) @ rv.pauli_expectations(rho, ops)
+            one_step = model.encode(u) @ rv.pauli_expectations(rho, ops)
             assert np.abs(one_step - rv.pauli_expectations(model.step(rho, u), ops)).max() <= 1e-12
     # 2000 steps of run_reservoir against a loop over the density-matrix step
     inputs = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, 1997)])
@@ -592,7 +592,7 @@ def test_kept_map_matches_density_matrix_step(n, reset):
             k = rv.pauli_expectations(rho, ops[kept.columns])[:, None]
             for u in (-1.0, 0.0, 1.0, *rng.uniform(-1, 1, 4)):
                 after = rv.pauli_expectations(model.step(rho, u), ops)
-                assert np.abs(kept.transfer(u) @ k - after[kept.columns, None]).max() <= 1e-12
+                assert np.abs(kept.encode(u) @ k - after[kept.columns, None]).max() <= 1e-12
                 assert np.abs(kept.read(k[None], np.array([u]))[0] - after).max() <= 1e-12
         # 2000 steps of run_reservoir on the kept map against a loop over the density-matrix step
         inputs = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, 1997)])

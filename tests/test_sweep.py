@@ -386,6 +386,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert sweep.main(["--config", str(bad), "--seed", "-1"]) == sweep.EXIT_CONFIG_ERROR
     for flags in (["--metrics", ""], ["--out", ""]):  # refused, not dropped for the config's values
         assert sweep.main(["--config", str(bad), *flags]) == sweep.EXIT_CONFIG_ERROR
+    # flags that argparse itself refuses: a config error, not the exit code of failed grid points
+    for flags in (["--workers", "x"], ["--experiment", "nope"], ["--format", "xml"], ["--bogus"]):
+        assert sweep.main(["--config", str(bad), *flags]) == sweep.EXIT_CONFIG_ERROR
     for out_path in (5, ""):  # a number failed in checkpoint_path with a TypeError
         bad.write_text(json.dumps(dict(small, out_path=out_path)))
         assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
@@ -412,6 +415,41 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error: cannot write field" in capsys.readouterr().err
     with open(sweep.checkpoint_path(str(taken)), encoding="utf-8") as fh:
         assert len(fh.read().splitlines()) == 1 + 4  # the config and the 2 x 2 grid points
+
+
+def test_cli_checks_the_json_config_once_with_its_flags(tmp_path, capsys):
+    # a JSON field refused alone runs when a flag replaces it: flags override the file before the one check
+    small = dict(metrics=["esp"], azimuth_count=2, polar_count=2, indicator_len=20)
+    cfgfile = tmp_path / "cfg.json"
+    for fields, flags in ((dict(metrics=["bogus"]), ["--metrics", "esp"]),
+                          (dict(experiment="nope"), ["--experiment", "ns_esp_axis_grid"])):
+        cfgfile.write_text(json.dumps(dict(small, **fields)))
+        out = tmp_path / f"{flags[0][2:]}.csv"
+        assert sweep.main(["--config", str(cfgfile), *flags, "--out", str(out)]) == sweep.EXIT_OK
+        assert len(sweep.parse_field_csv(str(out))[1]) == 4
+    assert sweep.main(["--help"]) == sweep.EXIT_OK
+    assert "--experiment" in capsys.readouterr().out
+
+
+def test_cli_refuses_malformed_checkpoint_lines(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(dict(metrics=["esp"], azimuth_count=2, polar_count=2, indicator_len=20,
+                                       out_path=str(tmp_path / "field.csv"))))
+    assert sweep.main(["--config", str(cfgfile)]) == sweep.EXIT_OK
+    ckpt = tmp_path / sweep.checkpoint_path("field.csv")
+    header, record = ckpt.read_text().splitlines(keepends=True)[:2]
+    for text, line, message in (
+        ("[1, 2]\n", 1, "the header is not an object"),
+        ('{"config": [1]}\n', 1, "the header is not an object"),
+        (header + '{"index": 0}\n', 2, "a point record needs an integer index, a values object"),
+        (header + record + "\n" + '{"index": "1", "values": {}}\n', 4, "a point record needs"),
+        (header + '{"index": 1, "values": [0.5]}\n', 2, "a point record needs"),
+        (header + "[0]\n", 2, "a point record needs"),
+        (header + '{"index": 1, "values": {}, "error": 5}\n', 2, "a point record needs"),
+    ):
+        ckpt.write_text(text)
+        assert sweep.main(["--config", str(cfgfile)]) == sweep.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: checkpoint {ckpt} line {line}: {message}")
 
 
 def test_cli_runs_and_writes(tmp_path):
