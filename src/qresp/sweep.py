@@ -53,6 +53,7 @@ METRICS = (
     "ns_esp_nondamping",
 )
 
+NARMA_ORDERS = {"narma2": 2, "narma10": 10}
 NS_METRICS = {"ns_esp", "ns_esp_damping", "ns_esp_nondamping"}
 INDICATOR_METRICS = {"esp"} | NS_METRICS
 # per axis-grid task (see chunk_size): every task pays a near-fixed cost per batched rho step, NARMA
@@ -157,7 +158,7 @@ class SweepConfig:
             if self.indicator_window == 1 and NS_METRICS & set(self.metrics):
                 raise ValueError("indicator_window 1 has zero variance in every window, "
                                  "so the NS indicators read inf; use at least 2")
-        orders = [order for order in (2, 10) if f"narma{order}" in self.metrics]
+        orders = [order for name, order in NARMA_ORDERS.items() if name in self.metrics]
         if orders:
             if self.narma_sequences < 1:
                 raise ValueError(f"narma_sequences {self.narma_sequences} must be at least 1")
@@ -251,45 +252,46 @@ def _build_model(cfg: SweepConfig, coord: tuple[float, float]):
     return NsReservoir(NsModelConfig(hamiltonian=ham, axis=AxisConfig(azimuth=azimuth, polar=polar)))
 
 
-def _drawn(model, rng: np.random.Generator, length: int, low: float, high: float):
-    """Uniform[low, high] inputs, then the Haar-random state they drive from."""
-    u = rng.uniform(low, high, size=length)
-    return u, qmat.haar_random_pure_state(model.n_qubits, rng)
-
-
-def _capacity_runs(cfg: SweepConfig) -> dict:
-    """The stream and length of each row of a point's capacity batch: the mc run, which mc and ipc read, then
-    the rank run."""
-    runs = {}
-    if {"mc", "ipc"} & set(cfg.metrics):
-        runs["mc"] = cfg.mc_len
-    if "rank" in cfg.metrics:
-        runs["rank"] = cfg.rank_len + cfg.rank_washout
-    return runs
+def _runs(cfg: SweepConfig) -> dict:
+    """The table of a point's trajectory runs: for each run, its rows as (stream, length) pairs, its input
+    range and its washout.  A NARMA run holds `narma_sequences` rows of its own stream; the capacity run holds
+    the mc row, which mc and ipc read, then the rank row, each of its own stream."""
+    runs = {name: ([(name, cfg.narma_len)] * cfg.narma_sequences, (0.0, 0.5),
+                   benchmarks.SplitSpec().boundaries(cfg.narma_len)[0])
+            for name in NARMA_ORDERS if name in cfg.metrics}
+    capacity = [(stream, length) for stream, length, readers in (
+        ("mc", cfg.mc_len, {"mc", "ipc"}), ("rank", cfg.rank_len + cfg.rank_washout, {"rank"}))
+        if readers & set(cfg.metrics)]
+    return {**runs, "capacity": (capacity, (-1.0, 1.0), 0)} if capacity else runs
 
 
 def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     """Every requested metric at each of `points`, (index, coord) pairs of the grid.
 
     Each point draws from its own streams, a generator (`point_rng`) built only when a metric draws from
-    it.  Each kind of run drives the rows of all points in one `run_reservoir` call of a `stack`, bit for
-    bit each point's own run, and each point finishes its metrics on its own rows.  The indicator cells are
-    `espmetrics.indicator_ensemble` of the chunk's models; the NARMA and capacity runs step the models.
-
-    A point's capacity run (`_capacity_runs`) holds its mc run, which mc and ipc read, and its
-    rank run as two rows of one batch, each drawn from its own stream.  The shorter row is
-    zero-padded to the longer, and its padded steps are read out and range-checked, then dropped;
-    the mc rows are copied out, so that the batch is freed before IPC.  Each point's metrics are
-    filled in one order, whatever order the config names them in: esp, ns_esp, ns_esp_damping,
-    ns_esp_nondamping, narma2, narma10, mc, ipc, rank."""
+    it.  The indicator cells are `espmetrics.indicator_ensemble` of the chunk's models.  Each run of the
+    `_runs` table steps the chunk's `stack` in one `run_reservoir` call, bit for bit each point's own run,
+    and each point finishes its metrics on its own rows.  `drive` draws every row by one rule: one
+    generator per stream, the rows in order, each `uniform(low, high, length)` and then the Haar state it
+    drives from.  A row shorter than its run's longest is zero-padded, and its padded steps are read out and
+    range-checked, then dropped; the mc rows are copied out, so that the capacity batch is freed before IPC.
+    Each point's metrics are filled in one order, whatever order the config names them in: esp, ns_esp,
+    ns_esp_damping, ns_esp_nondamping, narma2, narma10, mc, ipc, rank."""
     models = [_build_model(cfg, coord) for _, coord in points]
     values: list[dict] = [{} for _ in points]
+    runs = _runs(cfg)
+    stacked = runs and models[0].stack(models)
 
-    def drive(streams, draw, washout=0):
-        """Each point's draw(model, *rngs), one generator of each named stream, stacked, and one run of them."""
-        inputs, rho0 = map(np.stack, zip(*(draw(model, *(point_rng(cfg.seed, index, s) for s in streams))
-                                           for (index, _), model in zip(points, models))))
-        return inputs, rho0, run_reservoir(models[0].stack(models), inputs, rho0, washout=washout)
+    def drive(rows, bounds, washout):
+        """Every point's rows, drawn into one array, and one run of them."""
+        inputs = np.zeros((len(points), len(rows), max(length for _, length in rows)))
+        rho0 = np.empty(inputs.shape[:2] + (2 ** models[0].n_qubits,) * 2, dtype=complex)
+        for (index, _), point_inputs, point_rho0 in zip(points, inputs, rho0):
+            rngs = {stream: point_rng(cfg.seed, index, stream) for stream, _ in rows}
+            for (stream, length), row, rho in zip(rows, point_inputs, point_rho0):
+                row[:length] = rngs[stream].uniform(*bounds, size=length)
+                rho[:] = qmat.haar_random_pure_state(models[0].n_qubits, rngs[stream])
+        return inputs, run_reservoir(stacked, inputs, rho0, washout=washout)
 
     ensemble = (cfg.indicator_inputs, cfg.indicator_states, cfg.indicator_len, cfg.indicator_window)
     for stream, selector in (("esp", None), ("ns_esp_damping", espmetrics.damping_subsystem_selection),
@@ -304,31 +306,19 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     # raw NARMA inputs u in [0, 0.5]: criterion 5's 4u - 1 moves every narma cell and waits for new references;
     # the run keeps the rows the fit reads, from the washout's end on
     split = benchmarks.SplitSpec()
-    for name, order in (("narma2", 2), ("narma10", 10)):
-        if name in cfg.metrics:
-            inputs, _, trajs = drive([name], lambda m, rng: map(np.stack, zip(
-                *[_drawn(m, rng, cfg.narma_len, 0.0, 0.5) for _ in range(cfg.narma_sequences)])),
-                washout=split.boundaries(cfg.narma_len)[0])
+    for name, order in NARMA_ORDERS.items():
+        if name in runs:
+            inputs, trajs = drive(*runs[name])
             for point, targets, features in zip(values, benchmarks.narma_generate(inputs, order), trajs):
                 fits = [benchmarks.train_linear_readout(x, y, split) for x, y in zip(features, targets)]
                 point[name] = float(np.mean([benchmarks.rnmse(fit.test_target, fit.predictions) for fit in fits]))
-    runs = _capacity_runs(cfg)
-    if runs:
-        steps = max(runs.values())
-
-        def padded(model, *rngs):
-            inputs, rho0 = np.zeros((len(runs), steps)), []
-            for row, length, rng in zip(inputs, runs.values(), rngs):
-                u, rho = _drawn(model, rng, length, -1.0, 1.0)
-                row[:length] = u
-                rho0.append(rho)
-            return inputs, np.stack(rho0)
-
-        inputs, _, trajs = drive(runs, padded)
-        ranks = [{"rank": float(benchmarks.trajectory_rank(traj[-1, :runs["rank"]], cfg.rank_threshold,
-                                                           cfg.rank_washout))} if "rank" in runs else {}
+    if "capacity" in runs:
+        rows = dict(runs["capacity"][0])
+        inputs, trajs = drive(*runs["capacity"])
+        ranks = [{"rank": float(benchmarks.trajectory_rank(traj[-1, :rows["rank"]], cfg.rank_threshold,
+                                                           cfg.rank_washout))} if "rank" in rows else {}
                  for traj in trajs]
-        if "mc" in runs:  # the mc rows copied out, so that the batch is freed before IPC
+        if "mc" in rows:  # the mc rows copied out, so that the batch is freed before IPC
             inputs, trajs = inputs[:, 0, :cfg.mc_len].copy(), trajs[:, 0, :cfg.mc_len].copy()
         ipc_cfg = benchmarks.IpcConfig(budget=cfg.ipc_budget, surrogate_count=cfg.ipc_surrogates)
         for (index, _), point, u, traj, rank in zip(points, values, inputs, trajs, ranks):
@@ -350,9 +340,9 @@ def chunk_size(cfg: SweepConfig) -> int:
     """Grid points per pool task, fixed by the config alone, never by the worker count: on the
     axis grid, as many as fit CHUNK_BYTES with the kept readout rows (4**n floats, 128 bytes, a
     step) and the 64-step block buffers (state, inputs, readout and their temporaries, about 576
-    bytes a step on either path, measured) of each row of their largest run.  A NARMA run keeps
-    its rows from the washout's end on, and a capacity run is charged as its rows, mc and rank, at
-    the longer of their lengths.  The budget pays each call's near-fixed cost over more rows: eleven
+    bytes a step on either path, measured) of each row of their largest run.  The runs charged are
+    the indicator ensemble's and those of the `_runs` table, each as its rows at its longest row's
+    length less its washout.  The budget pays each call's near-fixed cost over more rows: eleven
     points a task at the indicator defaults, thirty-six for 2 x 1,200-step NARMA runs, and one for
     the default 5 x 20,000-step runs, whose 6.6 MB exceed it.  It is 8 MiB because forked workers
     no longer import numpy.random each (see run_sweep): on the axis_narma2 benchmark that cut the
@@ -363,14 +353,9 @@ def chunk_size(cfg: SweepConfig) -> int:
     no wall-time gain for 1.7 MB more peak RSS."""
     if cfg.experiment == "subset_gamma_p_grid":
         return 1
-    metrics, runs = set(cfg.metrics), []  # (rows, kept steps) of each run
-    if INDICATOR_METRICS & metrics:
+    runs = [(len(rows), max(length for _, length in rows) - washout) for rows, _, washout in _runs(cfg).values()]
+    if INDICATOR_METRICS & set(cfg.metrics):
         runs.append((cfg.indicator_inputs * cfg.indicator_states, cfg.indicator_len))
-    if {"narma2", "narma10"} & metrics:
-        runs.append((cfg.narma_sequences, cfg.narma_len - benchmarks.SplitSpec().boundaries(cfg.narma_len)[0]))
-    capacity = _capacity_runs(cfg)
-    if capacity:
-        runs.append((len(capacity), max(capacity.values())))
     largest = max(rows * (128 * steps + 576 * TRANSFER_BLOCK) for rows, steps in runs)
     return max(1, CHUNK_BYTES // largest)
 
