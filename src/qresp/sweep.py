@@ -76,6 +76,11 @@ EXIT_CONFIG_ERROR = 1
 EXIT_PARTIAL_FAILURE = 2
 
 
+def _is_number(value) -> bool:
+    """A JSON number as `json` reads it back, NaN and Infinity included: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: experiment grid, metric set and per-metric sequence lengths.
@@ -117,12 +122,20 @@ class SweepConfig:
         if isinstance(self.metrics, str):  # tuple() would split it into letters
             raise ValueError(f"metrics must be a sequence of names, got the string {self.metrics!r}")
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        object.__setattr__(self, "ipc_budget", tuple(tuple(pair) for pair in self.ipc_budget))
-        # a float or bool in an integer field would fail at every grid point, a non-string path when the field is written
+        try:
+            object.__setattr__(self, "ipc_budget", tuple(tuple(pair) for pair in self.ipc_budget))
+        except TypeError:  # a number, or a number among the pairs
+            raise ValueError(f"ipc_budget must be a sequence of (degree, max_delay) pairs, "
+                             f"got {self.ipc_budget!r}") from None
+        # a float or bool in an integer field would fail at every grid point, a string or None in a float field
+        # where a metric compares it (but pass into the checkpoint header where none does), a non-string path
+        # when the field is written
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in ("int", int) and not qmat.is_int(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in ("float", float) and not _is_number(value):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if f.type in ("str", str) and not isinstance(value, str):
                 raise ValueError(f"{f.name} must be a string, got {value!r}")
         if not self.out_path:
@@ -376,38 +389,69 @@ def checkpoint_path(out_path: str) -> str:
     return out_path + ".checkpoint.jsonl"
 
 
-def _load_checkpoint(path: str) -> list:
-    """The decoded checkpoint lines, or [] when there is no checkpoint.
+def _load_checkpoint(path: str, header: dict, metrics: tuple, count: int) -> dict | None:
+    """The checkpoint's points as {index: (values, error)}, or None when it holds no complete line.
 
     Text after the last newline is a record torn by a crash mid-write: it
     is cut from the file, so that appending resumes on a line boundary, and
-    its point runs again.  A complete line that does not decode raises, and
-    so does a header or point record of the wrong shape, naming the line.
+    its point runs again.  Every complete line is checked, and the first
+    that fails raises a ValueError naming the checkpoint and the line: one
+    that is not JSON (a `json.JSONDecodeError` at its line and column in
+    the file), a first line that is not a header object whose config
+    equals `header`'s (naming the fields that differ instead), and a point
+    record of the wrong shape.  A record holds an integer index inside the
+    `count`-point grid, and either a null error and a number for each of
+    `metrics`, no more, or an error string and no values.
     """
     if not os.path.exists(path):
-        return []
+        return None
     with open(path, "rb+") as fh:
         data = fh.read()
         end = data.rfind(b"\n") + 1
         if end < len(data):
             fh.truncate(end)
-    lines = [(number, json.loads(line)) for number, line in enumerate(data[:end].splitlines(), 1) if line.strip()]
-    for position, (number, row) in enumerate(lines):
-        if position == 0 and not (isinstance(row, dict) and isinstance(row.get("config", {}), dict)):
-            raise ValueError(f"checkpoint {path} line {number}: the header is not an object with a config object")
-        if position > 0 and not (isinstance(row, dict) and qmat.is_int(row.get("index"))
-                                 and isinstance(row.get("values"), dict)
-                                 and isinstance(row.get("error"), (str, type(None)))):
-            raise ValueError(f"checkpoint {path} line {number}: a point record needs an integer index, "
+    text, results, offset = data[:end].decode("utf-8", "replace"), None, 0  # json writes ASCII
+    for number, line in enumerate(text.split("\n"), 1):
+        start, offset = offset, offset + len(line) + 1
+        if not line.strip():
+            continue
+        where = f"checkpoint {path} line {number}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:  # placed in the file, not in its line
+            raise json.JSONDecodeError(f"checkpoint {path}: {exc.msg}", text, start + exc.pos) from None
+        if results is None:
+            if not (isinstance(row, dict) and isinstance(row.get("config", {}), dict)):
+                raise ValueError(f"{where}: the header is not an object with a config object")
+            expected, found = header["config"], row.get("config", {})
+            differ = sorted(k for k in expected.keys() | found.keys() if expected.get(k) != found.get(k))
+            if differ:
+                raise ValueError(f"checkpoint {path} was written with a different {', '.join(differ)}")
+            results = {}
+            continue
+        if not (isinstance(row, dict) and qmat.is_int(row.get("index")) and isinstance(row.get("values"), dict)
+                and isinstance(row.get("error"), (str, type(None)))):
+            raise ValueError(f"{where}: a point record needs an integer index, "
                              "a values object and an error string or null")
-    return [row for _, row in lines]
+        index, values, error = row["index"], row["values"], row.get("error")
+        if not 0 <= index < count:
+            raise ValueError(f"{where}: index {index} lies outside the {count}-point grid")
+        if error is None and not (set(values) == set(metrics) and all(map(_is_number, values.values()))):
+            raise ValueError(f"{where}: a point without an error needs a number for each of "
+                             f"{', '.join(metrics)} and nothing else, got {json.dumps(values)}")
+        if error is not None and values:
+            raise ValueError(f"{where}: a point with an error holds no values")
+        results[index] = (values, error)
+    return results
 
 
 def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
     """Evaluate every grid point, resuming from the checkpoint unless `resume` is false.
 
     The checkpoint's first line holds the config; resuming a checkpoint
-    written with another config raises, naming the fields that differ.
+    written with another config raises, naming the fields that differ, and
+    so does a checkpoint line that `_load_checkpoint` refuses, before any
+    point runs.
 
     A pool forks after numpy.random is loaded, so its workers inherit its pages (OpenSSL among
     them) instead of each importing it; importing qresp itself still leaves it unloaded.  This
@@ -419,16 +463,11 @@ def run_sweep(cfg: SweepConfig, resume: bool = True) -> FieldResult:
     fields = asdict(cfg)
     del fields["workers"], fields["out_path"]  # the points do not depend on these
     header = json.loads(json.dumps({"config": fields}))  # as it reads back
-    rows = _load_checkpoint(ckpt) if resume else []
-    if rows:
-        expected, found = header["config"], rows[0].get("config", {})
-        differ = sorted(k for k in expected.keys() | found.keys() if expected.get(k) != found.get(k))
-        if differ:
-            raise ValueError(f"checkpoint {ckpt} was written with a different {', '.join(differ)}")
-    else:
+    results = _load_checkpoint(ckpt, header, cfg.metrics, len(coords)) if resume else None
+    if results is None:
         with open(ckpt, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header) + "\n")
-    results = {row["index"]: (row["values"], row.get("error")) for row in rows[1:]}
+        results = {}
 
     pending = [(i, coords[i]) for i in range(len(coords)) if i not in results]
     size = chunk_size(cfg)

@@ -105,6 +105,15 @@ def test_config_validation():
             sweep.SweepConfig(metrics=("esp",), ipc_budget=budget)
     with pytest.raises(ValueError, match="surrogate_count must be nonnegative"):
         sweep.SweepConfig(metrics=("esp",), ipc_surrogates=-3)
+    for budget in (5, [[1, 5], 3]):  # tuple() of an int raised a TypeError that named no field
+        with pytest.raises(ValueError, match="ipc_budget must be a sequence of"):
+            sweep.SweepConfig(metrics=("esp",), ipc_budget=budget)
+    # a float field takes an int or float, not a bool, for every metric set: a string reached the header
+    for metrics in (("rank",), ("esp",)):
+        for threshold in ("0.1", None, True):
+            with pytest.raises(ValueError, match="rank_threshold must be a number"):
+                sweep.SweepConfig(metrics=metrics, rank_threshold=threshold)
+    sweep.SweepConfig(metrics=("rank",), rank_threshold=0)
     for name in ("azimuth_count", "polar_count", "gamma_count", "p_count"):
         with pytest.raises(ValueError, match="grid resolutions must be at least 2"):
             sweep.SweepConfig(**{name: 1})
@@ -379,6 +388,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         dict(ipc_surrogates=-3),
         dict(metrics=["esp", "esp"]),
         dict(metrics="esp"),
+        dict(rank_threshold="0.1"),
+        dict(ipc_budget=5),
     ):
         bad.write_text(json.dumps(dict(small, out_path=str(tmp_path / "y.csv"), **fields)))
         assert sweep.main(["--config", str(bad)]) == sweep.EXIT_CONFIG_ERROR
@@ -446,10 +457,34 @@ def test_cli_refuses_malformed_checkpoint_lines(tmp_path, capsys):
         (header + '{"index": 1, "values": [0.5]}\n', 2, "a point record needs"),
         (header + "[0]\n", 2, "a point record needs"),
         (header + '{"index": 1, "values": {}, "error": 5}\n', 2, "a point record needs"),
+        # a record without an error holds a number for each of the config's metrics, no more
+        (header + '{"index": 0, "values": {}, "error": null}\n', 2, "a point without an error needs a number"),
+        (header + '{"index": 0, "values": {"narma2": 0.5}, "error": null}\n', 2, "a point without an error"),
+        (header + '{"index": 0, "values": {"esp": 0.5, "mc": 1.0}, "error": null}\n', 2, "a point without"),
+        (header + '{"index": 0, "values": {"esp": "high"}, "error": null}\n', 2, "a point without an error"),
+        (header + '{"index": 0, "values": {"esp": true}, "error": null}\n', 2, "a point without an error"),
+        (header + '{"index": 0, "values": {"esp": 0.5}, "error": "ValueError: x"}\n', 2,
+         "a point with an error holds no values"),
+        (header + '{"index": 99, "values": {"esp": 0.5}, "error": null}\n', 2, "index 99 lies outside the 4-point"),
+        (header + record + '{"index": -1, "values": {}, "error": "ValueError: x"}\n', 3, "index -1 lies outside"),
     ):
         ckpt.write_text(text)
         assert sweep.main(["--config", str(cfgfile)]) == sweep.EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith(f"config error: checkpoint {ckpt} line {line}: {message}")
+        assert ckpt.read_text() == text  # refused before any point ran
+    # a complete line that does not decode names the file, and its line and column in the file
+    for text, line in ((header + record + "{broken\n", 3), ("{broken\n" + record, 1)):
+        ckpt.write_text(text)
+        assert sweep.main(["--config", str(cfgfile)]) == sweep.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: checkpoint {ckpt}: Expecting property name"), err
+        assert err.rstrip().endswith(f": line {line} column 2 (char {text.index('{broken') + 1})"), err
+        assert ckpt.read_text() == text
+    # json writes a non-finite cell as NaN or Infinity, and reads it back as a number
+    for literal, cell in (("NaN", "nan"), ("-Infinity", "-inf")):
+        ckpt.write_text(header + '{"index": 0, "values": {"esp": %s}, "error": null}\n' % literal)
+        assert sweep.main(["--config", str(cfgfile)]) == sweep.EXIT_OK
+        assert (tmp_path / "field.csv").read_text().splitlines()[1].split(",")[2] == cell
 
 
 def test_cli_runs_and_writes(tmp_path):
@@ -542,6 +577,40 @@ def test_narma_rnmse_matches_sequential_drive_and_fit(tmp_path):
         fit = benchmarks.train_linear_readout(traj, benchmarks.narma_generate(u, 2), benchmarks.SplitSpec())
         scores.append(benchmarks.rnmse(fit.test_target, fit.predictions))
     assert sweep.evaluate_point(cfg, 4, coord) == {"narma2": float(np.mean(scores))}
+
+
+@pytest.mark.parametrize("rank_len", [200, 500], ids=["rank-run-shorter", "rank-run-longer"])  # mc run: 400 steps
+@pytest.mark.parametrize("experiment", ["ns_esp_axis_grid", "subset_gamma_p_grid"])
+def test_capacity_cells_match_sequential_drives(tmp_path, experiment, rank_len):
+    # each point's mc and rank runs alone, each from its own stream: draw u from Uniform[-1, 1], then the initial
+    # state, drive, read; ipc's surrogates come from the point's ipc stream.  On the axis grid from one chunk of
+    # several points, on the gamma-p grid a point at a time, as the sweep runs
+    cfg = small_config(tmp_path, experiment=experiment, metrics=("mc", "ipc", "rank"), gamma_count=2, p_count=2,
+                       mc_len=400, mc_washout=100, mc_max_delay=10, ipc_budget=((1, 10), (2, 4)), ipc_surrogates=5,
+                       rank_len=rank_len, rank_washout=50, rank_threshold=0.05)  # a cut the drawn inputs move
+    points = list(enumerate(sweep.grid_coordinates(cfg)))
+    if experiment == "ns_esp_axis_grid":
+        assert sweep.chunk_size(cfg) >= len(points) > 1
+        cells = sweep.evaluate_chunk(cfg, points)
+    else:
+        cells = [sweep.evaluate_point(cfg, *point) for point in points]
+    ipc_cfg = benchmarks.IpcConfig(budget=cfg.ipc_budget, surrogate_count=cfg.ipc_surrogates)
+    for (index, coord), values in zip(points, cells):
+        model = sweep._build_model(cfg, coord)
+
+        def driven(stream, length):
+            rng = sweep.point_rng(cfg.seed, index, stream)
+            u = rng.uniform(-1.0, 1.0, size=length)
+            return u, run_reservoir(model, u, qmat.haar_random_pure_state(model.n_qubits, rng))
+
+        u, traj = driven("mc", cfg.mc_len)
+        expected = {
+            "mc": benchmarks.mc_report(u, traj, cfg.mc_max_delay, cfg.mc_washout).total,
+            "ipc": benchmarks.ipc_report(u, traj, ipc_cfg, cfg.mc_washout, sweep.point_rng(cfg.seed, index, "ipc")).total,
+            "rank": float(benchmarks.trajectory_rank(driven("rank", cfg.rank_len + cfg.rank_washout)[1],
+                                                     cfg.rank_threshold, cfg.rank_washout)),
+        }
+        assert {m: v.hex() for m, v in values.items()} == {m: v.hex() for m, v in expected.items()}, (experiment, index)
 
 
 def test_axis_chunk_rows_are_each_points_own_run(tmp_path, monkeypatch):
