@@ -293,14 +293,14 @@ def evaluate_chunk(cfg: SweepConfig, points) -> list[dict]:
     models = [_build_model(cfg, coord) for _, coord in points]
     values: list[dict] = [{} for _ in points]
     runs = _runs(cfg)
-    stacked = runs and models[0].stack(models)
+    stacked = models[0].stack(models) if runs else None
 
     def drive(rows, bounds, washout):
         """Every point's rows, drawn into one array, and one run of them."""
         inputs = np.zeros((len(points), len(rows), max(length for _, length in rows)))
         rho0 = np.empty(inputs.shape[:2] + (2 ** models[0].n_qubits,) * 2, dtype=complex)
         for (index, _), point_inputs, point_rho0 in zip(points, inputs, rho0):
-            rngs = {stream: point_rng(cfg.seed, index, stream) for stream, _ in rows}
+            rngs = {stream: point_rng(cfg.seed, index, stream) for stream in dict(rows)}
             for (stream, length), row, rho in zip(rows, point_inputs, point_rho0):
                 row[:length] = rngs[stream].uniform(*bounds, size=length)
                 rho[:] = qmat.haar_random_pure_state(models[0].n_qubits, rngs[stream])
